@@ -43,7 +43,6 @@ from .polyring import (
 )
 from .ratfun import PoleError, RatFun
 from .xfamily import (
-    DegenerateParameterError,
     FamilyKey,
     PolyMatrix,
     RecursiveFamily,
@@ -62,7 +61,6 @@ from .xfamily import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateParameterError",
     "FamilyKey",
     "FirstOrderOp",
     "InadmissibleKeyError",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyring import Poly, Rat, RatLike
-from .xfamily import FamilyKey, family, tau
+from .xfamily import FamilyKey, canonicalize, family, tau
 
 __all__ = [
     "InadmissibleKeyError",
@@ -98,7 +98,8 @@ def root_count(p: Poly, lo: RatLike, hi: RatLike) -> int:
 
 
 def admissibility_formula(key: FamilyKey) -> bool:
-    """Parameter bounds t > -m - 1/2, one per deformation level."""
+    """Parameter bounds t > -m - 1/2, one per level of the canonical key."""
+    key = canonicalize(key)
     return all(t > -Fraction(2 * m + 1, 2) for m, t in zip(key.m, key.t))
 
 
@@ -125,6 +126,7 @@ class AdmissibilityRecord:
 
 
 def admissibility_record(key: FamilyKey) -> AdmissibilityRecord:
+    key = canonicalize(key)
     return AdmissibilityRecord(
         key, admissibility_formula(key), root_count(tau(key), -1, 1)
     )
@@ -151,6 +153,7 @@ def is_admissible(key: FamilyKey, cross_check: bool = False) -> bool:
 
 def norm_of(key: FamilyKey, i: int) -> Fraction:
     """Squared weighted norm of the i-th family polynomial."""
+    key = canonicalize(key)
     if not admissibility_formula(key):
         raise InadmissibleKeyError(f"{key} is not admissible")
     if i < 0:
@@ -211,6 +214,7 @@ def orthogonality_check(key: FamilyKey, max_i: int) -> OrthogonalityReport:
     Off-diagonal overlaps must vanish there; diagonal ones must equal
     ``norm_of``.  Everything is exact rational arithmetic.
     """
+    key = canonicalize(key)
     if not admissibility_formula(key):
         raise InadmissibleKeyError(f"{key} is not admissible")
     fam = family(key)

@@ -35,7 +35,6 @@ from .polyring import InexactDivisionError, Poly, RatLike, parse_rat, rat_str
 from .ratfun import RatFun
 
 __all__ = [
-    "DegenerateParameterError",
     "FamilyKey",
     "PolyMatrix",
     "RecursiveFamily",
@@ -50,10 +49,6 @@ __all__ = [
     "recursive_family",
     "tau",
 ]
-
-
-class DegenerateParameterError(ValueError):
-    """A deformation step produced an identically zero denominator."""
 
 
 def _as_rat(value: RatLike) -> Fraction:
@@ -116,6 +111,8 @@ class FamilyKey:
 
 def canonicalize(key: FamilyKey) -> FamilyKey:
     """Merge duplicate levels (parameters add), drop zero parameters, sort."""
+    if key.is_canonical:
+        return key
     acc: dict[int, Fraction] = {}
     for m, t in zip(key.m, key.t):
         acc[m] = acc.get(m, Fraction(0)) + t
@@ -306,9 +303,13 @@ def exceptional_poly(key: FamilyKey, i: int) -> Poly:
 
 
 def expected_degree(key: FamilyKey, i: int) -> int:
-    """Predicted degree of the i-th family polynomial (distinct levels only)."""
+    """Predicted degree of the i-th family polynomial (distinct levels only).
+
+    Zero-parameter levels deform nothing and are dropped first.
+    """
     if len(set(key.m)) != len(key.m):
         raise ValueError("degree formula requires distinct levels")
+    key = canonicalize(key)
     base = 2 * sum(key.m) + key.n + i
     if i in key.m:
         base -= 2 * i + 1
@@ -317,6 +318,7 @@ def expected_degree(key: FamilyKey, i: int) -> int:
 
 def missing_degrees(key: FamilyKey) -> list[int]:
     """The finitely many degrees the family skips (codimension set)."""
+    key = canonicalize(key)
     bound = 2 * sum(key.m) + key.n + (max(key.m) if key.m else 0) + 1
     attained = {expected_degree(key, i) for i in range(bound + 1)}
     return [d for d in range(bound + 1) if d not in attained]
@@ -348,6 +350,9 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 #   tau_next = E / tau
 #   P_next_i = (E*P_i - t*W[i, m]*P_m) / tau^2
 #   W_next   = (W[i1, i2]*E - t*W[i1, m]*W[i2, m]) * tau_next / tau^3
+#
+# Every overlap vanishes at z = -1, so every step keeps tau_j(-1) = 1 and
+# E(-1) = 1: no parameter makes a step's denominator identically zero.
 #
 # Only the overlap columns against the not-yet-applied levels are carried
 # through the chain eagerly; any other overlap pair is cascaded through the
@@ -392,10 +397,6 @@ class _Chain:
             if wide:
                 tau_sq = tau_prev * tau_prev
                 e = tau_sq + col(j, level, level).scale(t)
-                if e.is_zero:
-                    raise DegenerateParameterError(
-                        f"deformation step at level {level} with t={t} degenerates"
-                    )
                 tau_next = e.exact_div(tau_prev)
                 tau_cube = tau_sq * tau_prev
                 p_level = polys[level]
@@ -416,10 +417,6 @@ class _Chain:
                         columns[pair] = (u * tau_next).exact_div(tau_cube)
             else:
                 tau_next = tau_prev + col(j, level, level).scale(t)
-                if tau_next.is_zero:
-                    raise DegenerateParameterError(
-                        f"deformation step at level {level} with t={t} degenerates"
-                    )
                 p_level = polys[level]
                 polys = {
                     i: (tau_next * p - (col(j, i, level) * p_level).scale(t)).exact_div(

@@ -102,6 +102,15 @@ def test_admissibility_record_consistency_grid():
                 assert record.formula_verdict == (t > boundary)
 
 
+def test_admissibility_answers_for_merged_duplicate_levels():
+    # {3: -4} alone is inadmissible, but the duplicates merge into {3: 1/2}
+    key = FamilyKey((3, 3), (F(-4), F(9, 2)))
+    assert is_admissible(key, cross_check=True)
+    record = admissibility_record(key)
+    assert record.key == FamilyKey((3,), (F(1, 2),))
+    assert record.consistent and record.roots_in_interval == 0
+
+
 def test_admissibility_two_level_mixed():
     rec = admissibility_record(FamilyKey((1, 3), (F(-3, 2) + F(1, 10), F(1))))
     assert rec.consistent and rec.formula_verdict
@@ -167,6 +176,12 @@ def test_orthogonality_two_level_figure_point():
     by_pair = {(e.i1, e.i2): e for e in report.entries}
     assert by_pair[(1, 1)].actual == F(2, 7)  # 2/(3+4)
     assert by_pair[(2, 2)].actual == F(10, 9)  # 2/(5-16/5)
+
+
+def test_orthogonality_merges_duplicate_levels():
+    key = FamilyKey((3, 3), (F(1, 2), F(1, 2)))
+    assert norm_of(key, 3) == norm_of(FamilyKey((3,), (F(1),)), 3) == F(2, 9)
+    assert orthogonality_check(key, 4).passed
 
 
 def test_orthogonality_rejects_inadmissible():

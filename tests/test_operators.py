@@ -24,9 +24,10 @@ from xlegendre import (
     verify_intertwining,
     wronskian,
 )
-from xlegendre.operators import t_hat_numerator
+from xlegendre import operators
+from xlegendre.operators import FactorizationReport, IdentityCheck, t_hat_numerator
 
-from helpers import rodrigues_legendre, sparse_poly
+from helpers import full_lattice, rodrigues_legendre, sparse_poly
 
 F = Fraction
 
@@ -206,3 +207,116 @@ def test_one_step_overlap_transformation_identity():
             rec_base.overlaps[(i1, m_new)] * rec_base.overlaps[(i2, m_new)] * t_new
         ) / denom
         assert rec_ext.overlaps[pair] == transported
+
+
+# -- polynomial identities against the rational-function composition ---------
+
+
+def _oracle_factorization(key, m_step, probe_degree=None):
+    """The identities probed one monomial at a time on canonical RatFuns."""
+    _, tau0, tau1, phi = operators._step_context(key, m_step)
+    lam = eigenvalue(m_step)
+    if probe_degree is None:
+        probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
+    a0, b0, a1, b1 = a_op(tau0, phi), b_op(phi, tau0), a_op(tau1, phi), b_op(phi, tau1)
+
+    def factor(spec, a, b, probe):
+        rf = RatFun.from_poly(probe)
+        return apply_T_hat(spec, probe) == apply_first_order(
+            b, apply_first_order(a, rf)
+        ) + rf * lam
+
+    def middle(probe):
+        rf = RatFun.from_poly(probe)
+        return apply_first_order(a0, apply_first_order(b0, rf)) == apply_first_order(
+            a1, apply_first_order(b1, rf)
+        )
+
+    holds = {
+        "factor_base": lambda p: factor(OperatorSpec(tau0), a0, b0, p),
+        "factor_deformed": lambda p: factor(OperatorSpec(tau1), a1, b1, p),
+        "middle_product": middle,
+    }
+    checks = []
+    for name, check in holds.items():
+        probes = (Poly.monomial(k) for k in range(probe_degree + 1))
+        probe = next((p for p in probes if not check(p)), None)
+        checks.append(IdentityCheck(name, probe is None, probe))
+    return FactorizationReport(key, m_step, probe_degree, tuple(checks))
+
+
+def _oracle_intertwining(key, m_step, i):
+    base, tau0, tau1, phi = operators._step_context(key, m_step)
+    factor = eigenvalue(i) - eigenvalue(m_step)
+    composed = apply_first_order(
+        b_op(phi, tau1),
+        apply_first_order(a_op(tau0, phi), RatFun.from_poly(exceptional_poly(base, i))),
+    )
+    return composed == RatFun.from_poly(exceptional_poly(key, i).scale(factor))
+
+
+_ORACLE_KEYS = [
+    key
+    for n, stride in ((1, 5), (2, 43), (3, 307))
+    for key in [k for k in full_lattice(max_n=3, max_m=5) if k.n == n][::stride]
+]
+
+
+def _assert_matches_oracle(keys, probe_degrees):
+    for key in keys:
+        for m_step in key.m:
+            for probe_degree in probe_degrees:
+                got = verify_factorization(key, m_step, probe_degree).to_json_obj()
+                want = _oracle_factorization(key, m_step, probe_degree).to_json_obj()
+                assert got == want, (key, m_step, probe_degree)
+            for i in (0, 1, 3, 6):
+                if i != m_step:
+                    assert verify_intertwining(key, m_step, i) == _oracle_intertwining(
+                        key, m_step, i
+                    ), (key, m_step, i)
+
+
+def test_polynomial_identities_match_ratfun_oracle_on_lattice():
+    assert {key.n for key in _ORACLE_KEYS} == {1, 2, 3}
+    _assert_matches_oracle(_ORACLE_KEYS, (None, 0, 1, 3))
+
+
+def _perturb_phi(monkeypatch):
+    original = operators._step_context
+
+    def perturbed(key, m_step):
+        base, tau0, tau1, phi = original(key, m_step)
+        return base, tau0, tau1, phi + Poly.monomial(3)
+
+    monkeypatch.setattr(operators, "_step_context", perturbed)
+
+
+def _perturb_t_hat(order):
+    def perturb(monkeypatch):
+        original = operators.t_hat_numerator
+
+        def perturbed(tau_val, p):
+            extra = p
+            for _ in range(order):
+                extra = extra.differentiate()
+            return original(tau_val, p) + extra
+
+        monkeypatch.setattr(operators, "t_hat_numerator", perturbed)
+
+    return perturb
+
+
+@pytest.mark.parametrize(
+    "perturb, first_failure",
+    [(_perturb_phi, 0), (_perturb_t_hat(1), 1), (_perturb_t_hat(2), 2)],
+    ids=["phi_plus_z3", "extra_f1_term", "extra_f2_term"],
+)
+def test_polynomial_identities_match_ratfun_oracle_on_counterexamples(
+    monkeypatch, perturb, first_failure
+):
+    perturb(monkeypatch)
+    keys = _ORACLE_KEYS[::3]
+    _assert_matches_oracle(keys, (None, 0, 1, 3))
+    report = verify_factorization(keys[-1], keys[-1].m[-1])
+    failing = [c.counterexample_probe for c in report.checks if not c.passed]
+    assert failing and min(failing, key=lambda p: p.degree) == Poly.monomial(first_failure)

@@ -283,6 +283,16 @@ def test_expected_degree_requires_distinct_levels():
         expected_degree(FamilyKey((2, 2), (F(1), F(1))), 0)
 
 
+def test_degrees_drop_zero_parameter_levels():
+    key = FamilyKey((4,), (F(0),))
+    assert exceptional_poly(key, 0).degree == expected_degree(key, 0) == 0
+    assert missing_degrees(key) == []
+    mixed = FamilyKey((3, 1), (F(0), F(2)))
+    assert missing_degrees(mixed) == missing_degrees(FamilyKey((1,), (F(2),)))
+    for i in range(6):
+        assert exceptional_poly(mixed, i).degree == expected_degree(mixed, i)
+
+
 # -- recursive route -----------------------------------------------------------------
 
 
