@@ -218,11 +218,10 @@ def orthogonality_check(key: FamilyKey, max_i: int) -> OrthogonalityReport:
     if not admissibility_formula(key):
         raise InadmissibleKeyError(f"{key} is not admissible")
     fam = family(key)
-    overlaps = fam.recursive(max_i).overlaps
     entries = []
     for i1 in range(max_i + 1):
         for i2 in range(i1, max_i + 1):
             expected = norm_of(key, i1) if i1 == i2 else Fraction(0)
-            actual = overlaps[(i1, i2)].evaluate(1)
+            actual = fam.overlap(i1, i2).evaluate(1)
             entries.append(OrthogonalityEntry(i1, i2, expected, actual))
     return OrthogonalityReport(key, max_i, tuple(entries))

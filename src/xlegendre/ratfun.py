@@ -1,10 +1,17 @@
-"""Reduced rational functions over the exact polynomial ring.
+"""Rational functions over the exact polynomial ring.
 
 A ``RatFun`` is a quotient num/den of two :class:`~xlegendre.polyring.Poly`
-values kept in canonical form: the denominator is nonzero and monic, the pair
-has constant gcd, and the zero element is 0/1.  Canonical form makes equality
-a plain coefficient comparison, which is what lets every verification in this
+values.  Its canonical form has a nonzero monic denominator, a pair with
+constant gcd, and 0/1 for the zero element.  Canonical form makes equality a
+plain coefficient comparison, which is what lets every verification in this
 package assert with zero tolerance.
+
+``RatFun.of`` rejects a zero denominator at once but defers the reduction to
+the first read of ``num`` or ``den`` (equality, hashing, arithmetic, ``str``
+and ``to_json`` all read them).  ``evaluate`` uses the unreduced pair when
+its denominator does not vanish at the point, so a value that is only
+evaluated never pays for a gcd; at a root of that denominator it reduces
+first, so a removable singularity still evaluates and a true pole raises.
 """
 
 from __future__ import annotations
@@ -32,24 +39,33 @@ def _coerce(value: object) -> "RatFun | None":
 
 
 class RatFun:
-    """Canonical quotient of two polynomials."""
+    """Quotient of two polynomials, read in canonical form."""
 
-    __slots__ = ("num", "den")
+    # _pair is (num, den); it is canonical once _reduced is set.  The
+    # reduction is idempotent and _pair is assigned before _reduced, so
+    # concurrent first reads may both reduce and still agree.
+    __slots__ = ("_pair", "_reduced")
 
     def __init__(self, num: Poly, den: Poly):
         # trusts canonical input; use RatFun.of for arbitrary pairs
-        self.num = num
-        self.den = den
+        self._pair = (num, den)
+        self._reduced = True
 
     @classmethod
     def of(cls, num: Poly, den: Poly | None = None) -> "RatFun":
-        """Build and canonicalize num/den (reduce, then make den monic)."""
+        """num/den, reduced (then den made monic) when num or den is first read."""
         if den is None:
             den = Poly.one()
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return _ZERO
+        out = cls(num, den)
+        out._reduced = False
+        return out
+
+    def _reduce(self) -> tuple[Poly, Poly]:
+        num, den = self._pair
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
@@ -59,7 +75,18 @@ class RatFun:
             inv = 1 / lc
             num = num.scale(inv)
             den = den.scale(inv)
-        return cls(num, den)
+        pair = (num, den)
+        self._pair = pair
+        self._reduced = True
+        return pair
+
+    @property
+    def num(self) -> Poly:
+        return (self._pair if self._reduced else self._reduce())[0]
+
+    @property
+    def den(self) -> Poly:
+        return (self._pair if self._reduced else self._reduce())[1]
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
@@ -77,7 +104,8 @@ class RatFun:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        # a nonzero numerator stays nonzero under reduction
+        return self._pair[0].is_zero
 
     @property
     def is_polynomial(self) -> bool:
@@ -172,10 +200,15 @@ class RatFun:
 
     def evaluate(self, x: RatLike) -> Fraction:
         """Exact value at x; raises PoleError on a pole."""
-        dv = self.den.evaluate(x)
+        reduced = self._reduced
+        num, den = self._pair
+        dv = den.evaluate(x)
+        if dv == 0 and not reduced:
+            num, den = self._reduce()
+            dv = den.evaluate(x)
         if dv == 0:
             raise PoleError(f"pole at z = {x}")
-        return self.num.evaluate(x) / dv
+        return num.evaluate(x) / dv
 
     def as_polynomial(self) -> Poly:
         """The exact polynomial quotient; raises if the value is not polynomial."""

@@ -9,13 +9,20 @@ constructs it
   whose determinant is the deformation polynomial ``tau``; the family
   polynomials come from the adjugate acting on the classical Legendre vector;
 
-* recursively: one confluent Darboux step per level, which rewrites tau, the
-  polynomials, and the deformed overlap functions through exact polynomial
-  divisions.
+* recursively: one confluent Darboux step per level, which rewrites tau and
+  the polynomials through exact polynomial divisions.
 
 Both routes are exposed and the test-suite asserts they agree coefficient by
 coefficient.  All intermediate quantities here are exact; a division that
 fails to be exact signals a violated polynomiality claim and raises.
+
+The deformed overlaps (antiderivatives of ``P_i1 P_i2 / tau^2`` vanishing at
+``z = -1``) have a closed form in the same data: with ``adj`` the adjugate,
+
+    overlap(i, j) = R(i, j) - sum_{k,l} t_k R(i, m_k) adj[k, l] R(m_l, j) / tau
+
+which is exact for every key.  ``XFamily.overlap`` evaluates it, and the test
+suite checks it against a level-by-level deformation.
 
 Degrees obey ``deg tau = 2*sum(m) + n`` and
 ``deg P_i = 2*sum(m) + n + i - (2i+1)*[i in m]``, so the attained degree
@@ -354,9 +361,9 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # Every overlap vanishes at z = -1, so every step keeps tau_j(-1) = 1 and
 # E(-1) = 1: no parameter makes a step's denominator identically zero.
 #
-# Only the overlap columns against the not-yet-applied levels are carried
-# through the chain eagerly; any other overlap pair is cascaded through the
-# stored per-level columns on demand.
+# The chain carries only the overlap columns against the not-yet-applied
+# levels, which is all the polynomial steps read.  Other overlap pairs are
+# not deformed here: XFamily.overlap has them in closed form.
 # ---------------------------------------------------------------------------
 
 
@@ -369,20 +376,16 @@ def _pkey(i1: int, i2: int) -> _PAIR:
 
 @dataclass(frozen=True)
 class _ChainStep:
-    level: int
-    t: Fraction
     tau: Poly  # tau after this step
     columns: dict[_PAIR, Poly]  # overlap numerators at this step's depth
 
 
 class _Chain:
-    """Per-level deformation data shared by polynomials and overlap cascades."""
+    """Per-level deformation of tau and the polynomials."""
 
-    __slots__ = ("key", "steps", "wide", "tau", "polys")
+    __slots__ = ("steps", "tau", "polys")
 
     def __init__(self, key: FamilyKey, indices: Sequence[int], wide: bool):
-        self.key = key
-        self.wide = wide
         steps: list[_ChainStep] = []
         tau_prev = Poly.one()
         polys: dict[int, Poly] = {i: legendre_poly(i) for i in indices}
@@ -435,86 +438,42 @@ class _Chain:
                             col(j, x, level) * col(j, mk, level)
                         ).scale(t)
                         columns[pair] = u.exact_div(tau_prev)
-            steps.append(_ChainStep(level, t, tau_next, columns))
+            steps.append(_ChainStep(tau_next, columns))
             tau_prev = tau_next
 
         self.steps = steps
         self.tau = tau_prev
         self.polys = polys
 
-    def column(self, depth: int, x: int, y: int) -> Poly:
-        if depth == 0:
-            return overlap_R(x, y)
-        return self.steps[depth - 1].columns[_pkey(x, y)]
-
-    def cascade_pair(self, i1: int, i2: int) -> Poly:
-        """Overlap numerator for (i1, i2) at full depth (over tau or tau^2)."""
-        cur = overlap_R(i1, i2)
-        tau_prev = Poly.one()
-        for j, step in enumerate(self.steps):
-            a = self.column(j, i1, step.level)
-            b = self.column(j, i2, step.level)
-            if self.wide:
-                e = tau_prev * step.tau
-                u = cur * e - (a * b).scale(step.t)
-                cur = (u * step.tau).exact_div(tau_prev * tau_prev * tau_prev)
-            else:
-                u = cur * step.tau - (a * b).scale(step.t)
-                cur = u.exact_div(tau_prev)
-            tau_prev = step.tau
-        return cur
-
-
-def _canonical_over_tau(num: Poly, tau_val: Poly, power: int) -> RatFun:
-    """Canonicalize num / tau_val**power, dividing out whole tau factors."""
-    if tau_val.degree <= 0 or power == 1:
-        return RatFun.of(num, tau_val**power)
-    den = tau_val**power
-    for _ in range(power):
-        q = num.exact_div_or_none(tau_val)
-        if q is None:
-            break
-        num = q
-        den = den.exact_div(tau_val)
-    return RatFun.of(num, den)
-
 
 class OverlapMap(Mapping):
-    """Lazy map (i1, i2) -> deformed overlap as a canonical rational function.
+    """Deformed overlaps of one family over the pairs of an index set.
 
-    Pairs are cascaded level by level through the chain columns on first
-    access and memoized; sweeps therefore pay only for the pairs they read.
+    Keys are unordered pairs: ``(i1, i2)`` is in the map when both indices
+    are in the set, a lookup accepts either order, and iteration yields each
+    pair once as ``(i1, i2)`` with ``i1 <= i2``.  Values are read from
+    ``XFamily.overlap``, which computes and memoizes them.
     """
 
-    __slots__ = ("_chain", "_pairs", "_memo", "_lock")
+    __slots__ = ("_family", "_indices", "_pairs")
 
-    def __init__(self, chain: _Chain, indices: Sequence[int]):
-        self._chain = chain
+    def __init__(self, fam: "XFamily", indices: Sequence[int]):
+        ordered = sorted(set(indices))
+        self._family = fam
+        self._indices = frozenset(ordered)
         self._pairs = tuple(
-            (a, b) for pos, a in enumerate(indices) for b in indices[pos:]
+            (a, b) for pos, a in enumerate(ordered) for b in ordered[pos:]
         )
-        self._memo: dict[_PAIR, RatFun] = {}
-        self._lock = threading.Lock()
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        return pair[0] in self._indices and pair[1] in self._indices
 
     def __getitem__(self, pair: _PAIR) -> RatFun:
-        pair = _pkey(*pair)
-        hit = self._memo.get(pair)
-        if hit is not None:
-            return hit
-        chain = self._chain
-        try:
-            num = chain.cascade_pair(*pair)
-        except InexactDivisionError:
-            # non-generic pair: redo this overlap through the always-valid
-            # wide chain
-            if not chain.wide:
-                chain = _Chain(chain.key, sorted({*pair, *chain.polys}), True)
-                num = chain.cascade_pair(*pair)
-            else:
-                raise
-        value = _canonical_over_tau(num, chain.tau, 2 if chain.wide else 1)
-        with self._lock:
-            return self._memo.setdefault(pair, value)
+        if pair not in self:
+            raise KeyError(pair)
+        return self._family.overlap(*pair)
 
     def __iter__(self) -> Iterator[_PAIR]:
         return iter(self._pairs)
@@ -537,9 +496,10 @@ class RecursiveFamily:
 def recursive_family(key: FamilyKey, max_i: int) -> RecursiveFamily:
     """Run the deformation chain from the classical base case.
 
-    Returns the deformation polynomial, the family polynomials for indices
-    up to ``max_i`` (plus the key's own levels), and the deformed overlap
-    functions; all three must match the determinantal construction exactly.
+    Returns the deformation polynomial and the family polynomials for indices
+    up to ``max_i`` (plus the key's own levels), which must match the
+    determinantal construction exactly, and a view of the deformed overlaps
+    over the same indices.
     """
     indices = sorted(set(range(max_i + 1)) | set(key.m))
     try:
@@ -547,7 +507,7 @@ def recursive_family(key: FamilyKey, max_i: int) -> RecursiveFamily:
     except InexactDivisionError:
         chain = _Chain(key, indices, wide=True)
     return RecursiveFamily(
-        key, chain.tau, chain.polys, OverlapMap(chain, indices), max_i
+        key, chain.tau, chain.polys, OverlapMap(family(key), indices), max_i
     )
 
 
@@ -564,7 +524,18 @@ class XFamily:
     to fill concurrently.
     """
 
-    __slots__ = ("key", "matrix", "tau", "adjugate", "q", "_xpolys", "_recursive", "_lock")
+    __slots__ = (
+        "key",
+        "matrix",
+        "tau",
+        "adjugate",
+        "q",
+        "_xpolys",
+        "_rows",
+        "_overlaps",
+        "_recursive",
+        "_lock",
+    )
 
     def __init__(self, key: FamilyKey):
         if not key.is_canonical:
@@ -579,6 +550,8 @@ class XFamily:
             else ()
         )
         self._xpolys: dict[int, Poly] = {}
+        self._rows: dict[int, tuple[Poly, ...]] = {}
+        self._overlaps: dict[_PAIR, RatFun] = {}
         self._recursive: RecursiveFamily | None = None
         self._lock = threading.Lock()
 
@@ -602,8 +575,35 @@ class XFamily:
                     rec = cur
         return rec
 
+    def _row(self, i: int) -> tuple[Poly, ...]:
+        # a_i[l] = sum_k t_k R(i, m_k) adj[k, l], shared by every pair (i, j)
+        hit = self._rows.get(i)
+        if hit is not None:
+            return hit
+        key, adj = self.key, self.adjugate
+        scaled = [overlap_R(i, m).scale(t) for m, t in zip(key.m, key.t)]
+        value = tuple(
+            sum((scaled[k] * adj[k, l] for k in range(key.n)), Poly.zero())
+            for l in range(key.n)
+        )
+        with self._lock:
+            return self._rows.setdefault(i, value)
+
     def overlap(self, i1: int, i2: int) -> RatFun:
-        return self.recursive(max(i1, i2)).overlaps[(i1, i2)]
+        """Deformed overlap of P_i1 and P_i2 as N / tau, where, with i <= j
+        the sorted pair, N = tau R(i, j) - sum_l a_i[l] R(m_l, j)."""
+        pair = _pkey(i1, i2)
+        hit = self._overlaps.get(pair)
+        if hit is not None:
+            return hit
+        i, j = pair
+        row = self._row(i)
+        num = self.tau * overlap_R(i, j)
+        for a, m in zip(row, self.key.m):
+            num = num - a * overlap_R(m, j)
+        value = RatFun.of(num, self.tau)
+        with self._lock:
+            return self._overlaps.setdefault(pair, value)
 
 
 _FAMILY_CACHE: dict[FamilyKey, XFamily] = {}

@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from xlegendre import FamilyKey, Poly
+from xlegendre import FamilyKey, Poly, RatFun, overlap_R
 
 
 def sparse_poly(pairs: dict[int, int], den: int = 1) -> Poly:
@@ -35,3 +35,27 @@ def full_lattice(max_n: int = 3, max_m: int = 5, include_classical: bool = False
             for t in itertools.product(LATTICE_T, repeat=n):
                 keys.append(FamilyKey(m, t))
     return keys
+
+
+def deformed_overlaps_oracle(key: FamilyKey, indices) -> dict:
+    """Deformed overlaps for every pair of ``indices`` (i1 <= i2), built one
+    level at a time in RatFun arithmetic:
+    R(a, b) <- R(a, b) - t R(a, m) R(b, m) / (1 + t R(m, m))."""
+    idx = sorted(set(indices) | set(key.m))
+    cur = {
+        (a, b): RatFun.from_poly(overlap_R(a, b))
+        for pos, a in enumerate(idx)
+        for b in idx[pos:]
+    }
+
+    def get(a, b):
+        return cur[(a, b) if a <= b else (b, a)]
+
+    for m, t in zip(key.m, key.t):
+        denom = RatFun.one() + get(m, m) * t
+        cur = {
+            (a, b): r - get(a, m) * get(b, m) * t / denom
+            for (a, b), r in cur.items()
+        }
+    wanted = sorted(set(indices))
+    return {(a, b): cur[(a, b)] for pos, a in enumerate(wanted) for b in wanted[pos:]}

@@ -122,3 +122,62 @@ def test_json_roundtrip():
     blob = f.to_json()
     assert blob == {"num": ["1/1", "1/1"], "den": ["2/1", "1/1"]}
     assert RatFun.from_json(blob) == f
+
+
+# -- deferred reduction -------------------------------------------------------------
+
+Z = Poly([0, 1])
+
+
+def test_deferred_value_evaluates_through_removable_singularity():
+    f = RatFun.of((Z - 1) * (Z + 2), Z - 1)
+    assert f.evaluate(1) == 3
+    assert f.evaluate(2) == 4
+
+
+def test_deferred_value_still_raises_at_true_pole():
+    f = RatFun.of(Poly.one(), Z - 1)
+    with pytest.raises(PoleError):
+        f.evaluate(1)
+    g = RatFun.of((Z + 2) * (Z + 3), (Z + 2) * (Z - 1))
+    with pytest.raises(PoleError):
+        g.evaluate(1)
+    assert g.evaluate(-2) == Fraction(-1, 3)
+
+
+def test_deferred_and_reduced_values_agree():
+    num, den = (Z + 1) * (Z - 3), (Z + 1) * Poly([1, 0, 2])
+    eager = RatFun.of(num, den)
+    eager.num  # reduces now
+    deferred = RatFun.of(num, den)
+    assert deferred == eager and eager == deferred
+    assert hash(deferred) == hash(eager)
+    assert str(RatFun.of(num, den)) == str(eager) == "(1/2*z - 3/2) / (z^2 + 1/2)"
+    assert RatFun.of(num, den).to_json() == eager.to_json()
+    assert eager.den == Poly([Fraction(1, 2), 0, 1])
+
+
+def test_concurrent_first_reads_agree():
+    import sys
+    import threading
+
+    num, den = (Z + 1) ** 3 * (Z - 2), (Z + 1) ** 2 * (Z + 5)
+    want = RatFun.of(num, den).to_json()
+    for _ in range(20):
+        shared = RatFun.of(num, den)
+        seen = []
+        threads = [
+            threading.Thread(target=lambda: seen.append((shared.evaluate(-1), shared.to_json())))
+            for _ in range(8)
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == [(Fraction(0), want)] * 8

@@ -25,7 +25,7 @@ from xlegendre import (
 )
 from xlegendre.xfamily import _tau_raw, _q_raw
 
-from helpers import sparse_poly
+from helpers import deformed_overlaps_oracle, full_lattice, sparse_poly
 
 F = Fraction
 
@@ -376,19 +376,52 @@ def test_duplicate_levels_collapse_to_summed_parameter():
 def test_wide_chain_agrees_with_narrow():
     from xlegendre.xfamily import _Chain
 
-    key = FamilyKey((1, 3), (F(2), F(-1, 4)))
-    indices = list(range(7)) + [1, 3]
-    indices = sorted(set(indices))
+    key = FamilyKey((1, 3, 4), (F(2), F(-1, 4), F(7, 2)))
+    indices = sorted(set(range(7)) | set(key.m))
     narrow = _Chain(key, indices, wide=False)
     wide = _Chain(key, indices, wide=True)
     assert narrow.tau == wide.tau
     for i in indices:
         assert narrow.polys[i] == wide.polys[i]
-    for pair in ((0, 0), (2, 5), (3, 3)):
-        n_val = narrow.cascade_pair(*pair)
-        w_val = wide.cascade_pair(*pair)
-        # narrow numerators sit over tau, wide ones over tau^2
-        assert w_val == n_val * wide.tau
+    carried = 0
+    for n_step, w_step in zip(narrow.steps, wide.steps):
+        assert n_step.tau == w_step.tau
+        assert n_step.columns.keys() == w_step.columns.keys()
+        # narrow numerators sit over tau_j, wide ones over tau_j^2
+        for pair, n_val in n_step.columns.items():
+            assert w_step.columns[pair] == n_val * n_step.tau
+            carried += 1
+    assert carried > 0
+
+
+def test_closed_form_overlaps_match_level_by_level_deformation():
+    keys = full_lattice(3, 5)[::17] + [FamilyKey((0, 1, 2, 4), (F(1), F(1, 2), F(-1, 4), F(2)))]
+    assert {key.n for key in keys} == {1, 2, 3, 4}
+    for key in keys:
+        fam = family(key)
+        expected = deformed_overlaps_oracle(key, range(6))
+        for (i1, i2), value in expected.items():
+            assert fam.overlap(i1, i2) == value, (key, i1, i2)
+            assert fam.overlap(i2, i1) is fam.overlap(i1, i2)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [FamilyKey((2,), (F(1),)), FamilyKey((1, 3), (F(1), F(1, 2)))],
+)
+def test_overlap_map_answers_only_for_its_index_set(key):
+    overlaps = recursive_family(key, 4).overlaps
+    with pytest.raises(KeyError) as err:
+        overlaps[(9, 9)]
+    assert err.value.args == ((9, 9),)
+    with pytest.raises(KeyError):
+        overlaps[(2, 9)]
+    assert (9, 9) not in overlaps and (2, 9) not in overlaps
+    pairs = list(overlaps)
+    assert len(pairs) == len(overlaps) == len(set(pairs)) == 15
+    assert all(pair in overlaps and pair[0] <= pair[1] for pair in pairs)
+    assert (3, 1) in overlaps
+    assert overlaps[(3, 1)] == overlaps[(1, 3)] == family(key).overlap(1, 3)
 
 
 # -- submatrix inversion identity -----------------------------------------------------
