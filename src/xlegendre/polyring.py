@@ -550,44 +550,14 @@ _X = Poly([0, 1])
 # ---------------------------------------------------------------------------
 # Polynomial gcd over Q[z].
 #
-# Strategy: strip to primitive integer parts, then certify coprimality with a
-# single gcd modulo a large prime (the modular gcd degree can only
-# overestimate the true degree, so degree zero mod p proves coprimality).
-# Only when the modular image is nonconstant do we run the exact Euclidean
-# chain, normalizing every remainder to its primitive integer part to keep
-# coefficient growth linear.
+# Primitive pseudo-remainder sequence (von zur Gathen & Gerhard, Modern
+# Computer Algebra, ch. 6): both inputs are stripped to primitive integer
+# parts, and every pseudo-remainder is stripped again, which keeps the chain
+# in integers and the coefficient growth linear along it.  The last nonzero
+# element, made monic, is the gcd; a constant remainder proves coprimality.
+# It serves ``RatFun`` reduction, which no verification path needs, so the
+# simplest exact route is the only one.
 # ---------------------------------------------------------------------------
-
-_GCD_PRIMES = (2305843009213693951, 2147483647, 618970019642690137449562111)
-
-
-def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    a = a[:]
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k]
-        if c:
-            c = c * inv % p
-            off = k - db
-            for i in range(db):
-                bi = b[i]
-                if bi:
-                    a[off + i] = (a[off + i] - c * bi) % p
-    del a[db:]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gcd_degree_mod_p(an: Sequence[int], bn: Sequence[int], p: int) -> int | None:
-    if an[-1] % p == 0 or bn[-1] % p == 0:
-        return None
-    fa = [v % p for v in an]
-    fb = [v % p for v in bn]
-    while fb:
-        fa, fb = fb, _rem_mod_p(fa, fb, p)
-    return len(fa) - 1
 
 
 def _primitive_positive(nums: Sequence[int]) -> list[int]:
@@ -619,159 +589,19 @@ def _prem_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return r
 
 
-def _divides_int(num: Sequence[int], div: Sequence[int]) -> bool:
-    _, _, rn, _ = _divmod_nums(num, div)
-    return not rn
-
-
-# Deterministic Miller-Rabin for 64-bit inputs; used to stream word-size
-# primes for the modular gcd.
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_64(n: int) -> bool:
-    if n < 2:
-        return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIME_CACHE: list[int] = []
-
-
-def _prime_stream():
-    for p in _PRIME_CACHE:
-        yield p
-    n = _PRIME_CACHE[-1] + 2 if _PRIME_CACHE else (1 << 62) + 1
-    while True:
-        if _is_prime_64(n):
-            _PRIME_CACHE.append(n)
-            yield n
-        n += 2
-
-
-def _gcd_mod_p_monic(an: Sequence[int], bn: Sequence[int], p: int) -> list[int]:
-    fa = [v % p for v in an]
-    fb = [v % p for v in bn]
-    while fb:
-        fa, fb = fb, _rem_mod_p(fa, fb, p)
-    inv = pow(fa[-1], -1, p)
-    return [v * inv % p for v in fa]
-
-
-def _centered(v: int, m: int) -> int:
-    v %= m
-    return v - m if 2 * v > m else v
-
-
-def _gcd_modular(fa: list[int], fb: list[int]) -> list[int] | None:
-    """Primitive integer gcd via CRT over word-size primes, division-verified."""
-    lead = math.gcd(fa[-1], fb[-1])
-    residues: list[int] | None = None
-    modulus = 0
-    best_deg: int | None = None
-    prev_cand: list[int] | None = None
-    for p in _prime_stream():
-        if fa[-1] % p == 0 or fb[-1] % p == 0:
-            continue
-        gp = _gcd_mod_p_monic(fa, fb, p)
-        d = len(gp) - 1
-        if d == 0:
-            return [1]
-        scaled = [v * lead % p for v in gp]
-        if best_deg is None or d < best_deg:
-            residues, modulus, best_deg = scaled, p, d
-            prev_cand = None
-        elif d > best_deg:
-            continue  # unlucky prime
-        else:
-            assert residues is not None
-            inv = pow(modulus % p, -1, p)
-            residues = [
-                r + modulus * ((s - r) % p * inv % p)
-                for r, s in zip(residues, scaled)
-            ]
-            modulus *= p
-        cand = [_centered(v, modulus) for v in residues]
-        while cand and cand[-1] == 0:
-            cand.pop()
-        if cand:
-            cand = _primitive_positive(cand)
-            # verify only once the lifted image has stabilized
-            if cand == prev_cand and _divides_int(fa, cand) and _divides_int(fb, cand):
-                return cand
-            prev_cand = cand
-        if modulus.bit_length() > 100_000:
-            return None  # give up; exact chain fallback
-    return None
-
-
-def _gcd_int_full(fa: list[int], fb: list[int], stop_deg: int | None) -> list[int]:
-    # primitive pseudo-remainder chain: every remainder is stripped to its
-    # primitive part, so coefficient growth stays linear along the chain.
-    # Across a large degree gap the pseudo-remainder scales by lc^gap, so
-    # there the denominator-tracked rational remainder is used instead.
-    # ``stop_deg`` is the gcd degree seen modulo a large prime: once the chain
-    # reaches it, the current element is verified by division and, if it
-    # divides both inputs, returned without walking the rest of the chain.
-    fa0, fb0 = fa, fb
-    while fb:
-        if stop_deg is not None and len(fb) - 1 == stop_deg:
-            if _divides_int(fa0, fb) and _divides_int(fb0, fb):
-                return fb
-            stop_deg = None  # unlucky prime: finish the chain exactly
-        if len(fa) - len(fb) > 6:
-            _, _, rn, _ = _divmod_nums(fa, fb)
-        else:
-            rn = _prem_int(fa, fb)
-        if not rn:
-            return fb
-        fa, fb = fb, _primitive_positive(rn)
-    return fa
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two polynomials over the rationals."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    if len(a._nums) == 1 or len(b._nums) == 1:
-        return _ONE
     fa = _primitive_positive(a._nums)
     fb = _primitive_positive(b._nums)
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    deg = None
-    for p in _GCD_PRIMES:
-        deg = _gcd_degree_mod_p(fa, fb, p)
-        if deg is not None:
-            if deg == 0:
-                return _ONE
-            break
-    if deg == len(fb) - 1 and _divides_int(fa, fb):
-        return Poly._raw(fb[:], 1).monic()
-    g = _gcd_modular(fa, fb)
-    if g is None:
-        g = _gcd_int_full(fa, fb, deg)
-    if len(g) == 1:
-        return _ONE
-    g = _primitive_positive(g)
-    return Poly._raw(g[:], 1).monic()
+    while len(fb) > 1:
+        rn = _prem_int(fa, fb)
+        if not rn:
+            return Poly._raw(fb, 1).monic()
+        fa, fb = fb, _primitive_positive(rn)
+    return _ONE

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import legendre_poly, overlap_R
-from .polyring import InexactDivisionError, Poly, RatLike, parse_rat, rat_str
+from .polyring import Poly, RatLike, parse_rat, rat_str
 from .ratfun import RatFun
 
 __all__ = [
@@ -287,14 +287,16 @@ def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, q: Sequence[Poly]) -> Poly
 
 
 def tau(key: FamilyKey) -> Poly:
-    """Determinant of the deformation matrix."""
-    if key.is_canonical:
-        return family(key).tau
-    return _tau_raw(key)
+    """Determinant of the deformation matrix, read from the canonical family."""
+    return family(key).tau
 
 
 def q_vector(key: FamilyKey) -> tuple[Poly, ...]:
-    """Adjugate of the deformation matrix applied to (P_{m_1}, ..., P_{m_n})."""
+    """Adjugate of the deformation matrix applied to (P_{m_1}, ..., P_{m_n}).
+
+    The output is positional, one entry per entry of ``key`` as given, so a
+    non-canonical key is not canonicalized: its own matrix is expanded.
+    """
     if key.is_canonical:
         return family(key).q
     return _q_raw(key)
@@ -304,9 +306,7 @@ def exceptional_poly(key: FamilyKey, i: int) -> Poly:
     """The i-th family polynomial (equals P_i when the key is empty)."""
     if i < 0:
         raise ValueError("polynomial index must be non-negative")
-    if key.is_canonical:
-        return family(key).polynomial(i)
-    return _xpoly_raw(key, i, _tau_raw(key), _q_raw(key))
+    return family(key).polynomial(i)
 
 
 def expected_degree(key: FamilyKey, i: int) -> int:
@@ -334,36 +334,28 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # ---------------------------------------------------------------------------
 # Recursive construction (one confluent Darboux step per level)
 #
-# The chain state after j steps is (tau_j, polynomials, deformed overlaps).
-# Overlaps are carried as polynomial numerators over a power of tau_j:
-#
-#   narrow form: numerator over tau_j    (holds whenever tau_j is squarefree,
-#                                         which is the generic case)
-#   wide form:   numerator over tau_j^2  (holds unconditionally: the overlap's
-#                                         pole order at a root of multiplicity
-#                                         a is at most 2a-1 < 2a)
-#
-# The narrow form is tried first; every step is an exact division, so a
-# non-generic key is detected immediately and the chain reruns in wide form.
-# One step with level m, parameter t maps the narrow state as
+# After j steps the chain holds tau_j (the determinant of the key's first j
+# levels), the polynomials, and the overlap numerators N = tau_j * overlap_j
+# against the levels not yet applied.  One step with level m, parameter t is
 #
 #   tau_next = tau + t*N[m, m]
 #   P_next_i = (tau_next*P_i - t*N[i, m]*P_m) / tau
 #   N_next   = (N[i1, i2]*tau_next - t*N[i1, m]*N[i2, m]) / tau
 #
-# and the wide state (W = N*tau) as
+# since tau_next = tau*(1 + t*overlap[m, m]) and a step deforms an overlap to
+# overlap[i1, i2] - t*overlap[i1, m]*overlap[i2, m] / (1 + t*overlap[m, m]).
+# Every division is exact, for every key: P_next is the family polynomial of
+# the first j+1 levels (an adjugate component), and N_next = tau_next*R -
+# sum_l a[l]*R is the closed form of XFamily.overlap for those levels; both
+# are polynomials, however often the roots of tau repeat (the level {1: -3}
+# alone gives tau = -z^3).  Were this wrong, exact_div would raise
+# InexactDivisionError; it cannot return a wrong value.  Every overlap
+# vanishes at z = -1, so every step keeps tau_j(-1) = 1: no parameter makes
+# a divisor identically zero.
 #
-#   E        = tau^2 + t*W[m, m]                 (equals tau*tau_next)
-#   tau_next = E / tau
-#   P_next_i = (E*P_i - t*W[i, m]*P_m) / tau^2
-#   W_next   = (W[i1, i2]*E - t*W[i1, m]*W[i2, m]) * tau_next / tau^3
-#
-# Every overlap vanishes at z = -1, so every step keeps tau_j(-1) = 1 and
-# E(-1) = 1: no parameter makes a step's denominator identically zero.
-#
-# The chain carries only the overlap columns against the not-yet-applied
-# levels, which is all the polynomial steps read.  Other overlap pairs are
-# not deformed here: XFamily.overlap has them in closed form.
+# Only the overlap columns against the not-yet-applied levels are carried,
+# which is all the polynomial steps read; XFamily.overlap has every pair in
+# closed form.
 # ---------------------------------------------------------------------------
 
 
@@ -374,76 +366,36 @@ def _pkey(i1: int, i2: int) -> _PAIR:
     return (i1, i2) if i1 <= i2 else (i2, i1)
 
 
-@dataclass(frozen=True)
-class _ChainStep:
-    tau: Poly  # tau after this step
-    columns: dict[_PAIR, Poly]  # overlap numerators at this step's depth
+def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly]]:
+    """Deform tau and the polynomials of ``indices`` level by level.
 
-
-class _Chain:
-    """Per-level deformation of tau and the polynomials."""
-
-    __slots__ = ("steps", "tau", "polys")
-
-    def __init__(self, key: FamilyKey, indices: Sequence[int], wide: bool):
-        steps: list[_ChainStep] = []
-        tau_prev = Poly.one()
-        polys: dict[int, Poly] = {i: legendre_poly(i) for i in indices}
-        n = key.n
-
-        def col(depth: int, x: int, y: int) -> Poly:
-            if depth == 0:
-                return overlap_R(x, y)
-            return steps[depth - 1].columns[_pkey(x, y)]
-
-        for j, (level, t) in enumerate(zip(key.m, key.t)):
-            if wide:
-                tau_sq = tau_prev * tau_prev
-                e = tau_sq + col(j, level, level).scale(t)
-                tau_next = e.exact_div(tau_prev)
-                tau_cube = tau_sq * tau_prev
-                p_level = polys[level]
-                polys = {
-                    i: (e * p - (col(j, i, level) * p_level).scale(t)).exact_div(tau_sq)
-                    for i, p in polys.items()
-                }
-                columns: dict[_PAIR, Poly] = {}
-                for k in range(j + 1, n):
-                    mk = key.m[k]
-                    for x in indices:
-                        pair = _pkey(x, mk)
-                        if pair in columns:
-                            continue
-                        u = col(j, x, mk) * e - (
-                            col(j, x, level) * col(j, mk, level)
-                        ).scale(t)
-                        columns[pair] = (u * tau_next).exact_div(tau_cube)
-            else:
-                tau_next = tau_prev + col(j, level, level).scale(t)
-                p_level = polys[level]
-                polys = {
-                    i: (tau_next * p - (col(j, i, level) * p_level).scale(t)).exact_div(
-                        tau_prev
-                    )
-                    for i, p in polys.items()
-                }
-                columns = {}
-                for k in range(j + 1, n):
-                    mk = key.m[k]
-                    for x in indices:
-                        pair = _pkey(x, mk)
-                        if pair in columns:
-                            continue
-                        u = col(j, x, mk) * tau_next - (
-                            col(j, x, level) * col(j, mk, level)
-                        ).scale(t)
-                        columns[pair] = u.exact_div(tau_prev)
-            steps.append(_ChainStep(tau_next, columns))
-            tau_prev = tau_next
-
-        self.steps = steps
-        self.tau = tau_prev
-        self.polys = polys
+    ``indices`` must contain the key's levels.
+    """
+    tau_prev = Poly.one()
+    polys = {i: legendre_poly(i) for i in indices}
+    cols = {_pkey(x, m): overlap_R(x, m) for m in key.m for x in indices}
+    for j, (level, t) in enumerate(zip(key.m, key.t)):
+        tau_next = tau_prev + cols[(level, level)].scale(t)
+        p_level = polys[level]
+        polys = {
+            i: (tau_next * p - (cols[_pkey(i, level)] * p_level).scale(t)).exact_div(
+                tau_prev
+            )
+            for i, p in polys.items()
+        }
+        nxt: dict[_PAIR, Poly] = {}
+        for mk in key.m[j + 1 :]:
+            for x in indices:
+                pair = _pkey(x, mk)
+                if pair in nxt:
+                    continue
+                u = cols[pair] * tau_next - (
+                    cols[_pkey(x, level)] * cols[_pkey(mk, level)]
+                ).scale(t)
+                nxt[pair] = u.exact_div(tau_prev)
+        cols = nxt
+        tau_prev = tau_next
+    return tau_prev, polys
 
 
 class OverlapMap(Mapping):
@@ -502,13 +454,8 @@ def recursive_family(key: FamilyKey, max_i: int) -> RecursiveFamily:
     over the same indices.
     """
     indices = sorted(set(range(max_i + 1)) | set(key.m))
-    try:
-        chain = _Chain(key, indices, wide=False)
-    except InexactDivisionError:
-        chain = _Chain(key, indices, wide=True)
-    return RecursiveFamily(
-        key, chain.tau, chain.polys, OverlapMap(family(key), indices), max_i
-    )
+    tau_val, polys = _chain(key, indices)
+    return RecursiveFamily(key, tau_val, polys, OverlapMap(family(key), indices), max_i)
 
 
 # ---------------------------------------------------------------------------

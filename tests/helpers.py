@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 from xlegendre import FamilyKey, Poly, RatFun, overlap_R
+from xlegendre.xfamily import _q_raw, _tau_raw, _xpoly_raw
 
 
 def sparse_poly(pairs: dict[int, int], den: int = 1) -> Poly:
@@ -24,6 +25,12 @@ def rodrigues_legendre(i: int) -> Poly:
 
 
 LATTICE_T = (Fraction(1), Fraction(-1, 4), Fraction(7, 2))
+
+
+def raw_xpoly(key: FamilyKey, i: int) -> Poly:
+    """The i-th family polynomial expanded from the key's own matrix, as
+    given: duplicate levels, zero parameters and level order are kept."""
+    return _xpoly_raw(key, i, _tau_raw(key), _q_raw(key))
 
 
 def full_lattice(max_n: int = 3, max_m: int = 5, include_classical: bool = False):

@@ -35,7 +35,7 @@ from xlegendre.cli import main as cli_main
 from xlegendre.operators import eigenvalue, t_hat_numerator
 from xlegendre.xfamily import _tau_raw
 
-from helpers import LATTICE_T, full_lattice, sparse_poly
+from helpers import LATTICE_T, full_lattice, raw_xpoly, sparse_poly
 
 F = Fraction
 
@@ -227,10 +227,10 @@ def test_criterion_6_norms_and_orthogonality():
     with _Budget("6 (norms / orthogonality)", 60.0):
         for key in _LATTICE:
             # every lattice parameter satisfies t > -m - 1/2
-            overlaps = family(key).recursive(12).overlaps
+            fam = family(key)
             for i1 in range(13):
                 for i2 in range(i1, 13):
-                    value = overlaps[(i1, i2)].evaluate(1)
+                    value = fam.overlap(i1, i2).evaluate(1)
                     if i1 != i2:
                         assert value == 0, (key, i1, i2)
                     else:
@@ -261,14 +261,14 @@ def test_criterion_8_duplicate_levels_collapse():
                 merged = FamilyKey((j,), (t1 + t2,))
                 assert _tau_raw(dup) == _tau_raw(merged), (j, t1, t2)
                 for i in (0, j, j + 2):
-                    assert exceptional_poly(dup, i) == exceptional_poly(merged, i)
+                    assert raw_xpoly(dup, i) == exceptional_poly(merged, i)
         # with a nonempty base in front
         for j in (1, 3):
             dup = FamilyKey((2, j, j) if j != 2 else (4, j, j), (F(1), F(1, 3), F(2, 3)))
             merged = FamilyKey(dup.m[:1] + (j,), (F(1), F(1)))
             assert _tau_raw(dup) == _tau_raw(merged)
             for i in (0, 5):
-                assert exceptional_poly(dup, i) == exceptional_poly(merged, i)
+                assert raw_xpoly(dup, i) == exceptional_poly(merged, i)
 
 
 # -- criterion 9: factorization and intertwining --------------------------------------

@@ -25,7 +25,7 @@ from xlegendre import (
 )
 from xlegendre.xfamily import _tau_raw, _q_raw
 
-from helpers import deformed_overlaps_oracle, full_lattice, sparse_poly
+from helpers import deformed_overlaps_oracle, full_lattice, raw_xpoly, sparse_poly
 
 F = Fraction
 
@@ -360,38 +360,43 @@ def test_overlap_derivative_is_weighted_product():
 
 
 def test_duplicate_levels_collapse_to_summed_parameter():
-    # appending the same level twice only adds the parameters
+    # duplicate levels add their parameters, a zero parameter drops out and
+    # the order of the levels is immaterial: the key's own matrix and the
+    # public functions both give the merged key's tau and polynomials
     for base_m, base_t in (((), ()), ((2,), (F(1),))):
         for j in (0, 1, 3, 4):
             if j in base_m:
                 continue
             for t1, t2 in ((F(1, 2), F(1, 2)), (F(2), F(-3, 4))):
-                dup = FamilyKey(base_m + (j, j), base_t + (t1, t2))
-                merged = FamilyKey(base_m + (j,), base_t + (t1 + t2,))
-                assert _tau_raw(dup) == _tau_raw(merged)
-                for i in (0, j, j + 1):
-                    assert exceptional_poly(dup, i) == exceptional_poly(merged, i)
+                s = t1 + t2
+                merged = FamilyKey(base_m + (j,), base_t + (s,))
+                variants = (
+                    FamilyKey(base_m + (j, j), base_t + (t1, t2)),
+                    FamilyKey(base_m + (j, 5), base_t + (s, F(0))),
+                    FamilyKey((j,) + base_m, (s,) + base_t),
+                    FamilyKey((5, j, j) + base_m, (F(0), t2, t1) + base_t),
+                )
+                for key in variants:
+                    assert _tau_raw(key) == _tau_raw(merged) == tau(key), key
+                    for i in (0, j, j + 1):
+                        expected = exceptional_poly(merged, i)
+                        assert raw_xpoly(key, i) == expected, (key, i)
+                        assert exceptional_poly(key, i) == expected, (key, i)
 
 
-def test_wide_chain_agrees_with_narrow():
-    from xlegendre.xfamily import _Chain
-
-    key = FamilyKey((1, 3, 4), (F(2), F(-1, 4), F(7, 2)))
-    indices = sorted(set(range(7)) | set(key.m))
-    narrow = _Chain(key, indices, wide=False)
-    wide = _Chain(key, indices, wide=True)
-    assert narrow.tau == wide.tau
-    for i in indices:
-        assert narrow.polys[i] == wide.polys[i]
-    carried = 0
-    for n_step, w_step in zip(narrow.steps, wide.steps):
-        assert n_step.tau == w_step.tau
-        assert n_step.columns.keys() == w_step.columns.keys()
-        # narrow numerators sit over tau_j, wide ones over tau_j^2
-        for pair, n_val in n_step.columns.items():
-            assert w_step.columns[pair] == n_val * n_step.tau
-            carried += 1
-    assert carried > 0
+def test_chain_crosses_tau_with_repeated_root():
+    # the level {1: -3} alone gives tau_1 = -z^3; every later step divides
+    # by it, and each division must still be exact
+    assert tau(FamilyKey((1,), (F(-3),))) == Poly([0, 0, 0, -1])
+    for key in (
+        FamilyKey((1, 2), (F(-3), F(1))),
+        FamilyKey((1, 3, 4), (F(-3), F(2), F(-9, 2))),
+    ):
+        rec = recursive_family(key, 6)
+        fam = family(key)
+        assert rec.tau == fam.tau, key
+        for i in range(7):
+            assert rec.xpolys[i] == fam.polynomial(i), (key, i)
 
 
 def test_closed_form_overlaps_match_level_by_level_deformation():
