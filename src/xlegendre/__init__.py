@@ -38,6 +38,7 @@ from .polyring import (
     Poly,
     Rat,
     parse_rat,
+    poly_dot,
     poly_gcd,
     rat_str,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "orthogonality_check",
     "overlap_R",
     "parse_rat",
+    "poly_dot",
     "poly_gcd",
     "q_vector",
     "rat_str",

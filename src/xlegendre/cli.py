@@ -10,6 +10,9 @@ degrees  print predicted vs. actual degrees and the missing-degree set
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 inadmissible parameters.  All computation is exact; decimals appear only
 in rendered output.
+
+Input whose cost the caps below do not bound (too many levels, too high an
+index, too many samples) is refused with exit 2 before any family is built.
 """
 
 from __future__ import annotations
@@ -51,10 +54,23 @@ EXIT_INADMISSIBLE = 3
 
 ALL_SUITES = ("eigen", "ortho", "factor", "recur", "degree")
 
+# Input caps.  Exact coefficients grow with the index and the determinant
+# with the number of levels, so each bounds the cost of one invocation;
+# larger input exits 2.  Each is at least 4x the largest value exercised by
+# the test suite and the benchmark.
+MAX_LEVELS = 16  # entries of --m, before duplicates are merged
+MAX_GEN_INDEX = 1000  # largest index of gen --i
+MAX_CHECK_INDEX = 64  # --max-i of verify and degrees
+MAX_SAMPLES = 100_000  # weight --samples
+
+_M_HELP = f"Comma-separated levels (may be empty; at most {MAX_LEVELS})."
+
 
 def _parse_key(m_str: str, t_str: str) -> FamilyKey:
     m_items = [s for s in (m_str or "").split(",") if s.strip() != ""]
     t_items = [s for s in (t_str or "").split(",") if s.strip() != ""]
+    if len(m_items) > MAX_LEVELS:
+        raise click.UsageError(f"invalid family key: at most {MAX_LEVELS} levels")
     try:
         m = tuple(int(s) for s in m_items)
         t = tuple(parse_rat(s) for s in t_items)
@@ -74,15 +90,17 @@ def _parse_indices(spec_str: str) -> list[int]:
         if ".." in spec_str:
             lo_s, hi_s = spec_str.split("..", 1)
             lo, hi = int(lo_s), int(hi_s)
-            if lo < 0 or hi < lo:
+            if lo < 0 or hi < lo or hi > MAX_GEN_INDEX:
                 raise ValueError
             return list(range(lo, hi + 1))
         items = [int(s) for s in spec_str.split(",") if s.strip() != ""]
-        if not items or any(v < 0 for v in items):
+        if not items or any(v < 0 or v > MAX_GEN_INDEX for v in items):
             raise ValueError
         return items
     except ValueError:
-        raise click.UsageError(f"invalid index range: {spec_str!r}") from None
+        raise click.UsageError(
+            f"invalid index range: {spec_str!r} (indices 0..{MAX_GEN_INDEX})"
+        ) from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -106,9 +124,14 @@ def main() -> None:
 
 
 @main.command("gen")
-@click.option("--m", "m_str", default="", help="Comma-separated levels (may be empty).")
+@click.option("--m", "m_str", default="", help=_M_HELP)
 @click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option("--i", "i_spec", default="0..5", help="Indices: 'a..b', list, or single.")
+@click.option(
+    "--i",
+    "i_spec",
+    default="0..5",
+    help=f"Indices: 'a..b', list, or single; each at most {MAX_GEN_INDEX}.",
+)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", default=None, help="Output path (default stdout).")
 def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> None:
@@ -238,9 +261,16 @@ _SUITE_RUNNERS = {
 
 
 @main.command("verify")
-@click.option("--m", "m_str", default="", help="Comma-separated levels (may be empty).")
+@click.option("--m", "m_str", default="", help=_M_HELP)
 @click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option("--max-i", "max_i", default=8, show_default=True, type=int)
+@click.option(
+    "--max-i",
+    "max_i",
+    default=8,
+    show_default=True,
+    type=click.IntRange(0, MAX_CHECK_INDEX),
+    help="Largest polynomial index checked.",
+)
 @click.option(
     "--suites",
     default="all",
@@ -250,8 +280,6 @@ _SUITE_RUNNERS = {
 @click.option("--out", default=None, help="Report path (default stdout).")
 def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None) -> None:
     """Run verification suites; exit 0 only if every selected check passes."""
-    if max_i < 0:
-        raise click.UsageError("--max-i must be non-negative")
     original = _parse_key(m_str, t_str)
     key = canonicalize(original)
     if suites.strip() == "all":
@@ -288,16 +316,20 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
 
 
 @main.command("weight")
-@click.option("--m", "m_str", default="", help="Comma-separated levels (may be empty).")
+@click.option("--m", "m_str", default="", help=_M_HELP)
 @click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option("--samples", default=1001, show_default=True, type=int)
+@click.option(
+    "--samples",
+    default=1001,
+    show_default=True,
+    type=click.IntRange(2, MAX_SAMPLES),
+    help="Grid points on [-1, 1], both ends included.",
+)
 @click.option("--out", default=None, help="CSV path (default stdout).")
 @click.option("--precision", default=17, show_default=True, type=int,
               help="Significant digits for rendered values.")
 def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision: int) -> None:
     """Sample the weight 1/tau^2 on a uniform rational grid over [-1, 1]."""
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
     if precision < 1:
         raise click.UsageError("--precision must be positive")
     key = canonicalize(_parse_key(m_str, t_str))
@@ -317,14 +349,19 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
 
 
 @main.command("degrees")
-@click.option("--m", "m_str", default="", help="Comma-separated levels (may be empty).")
+@click.option("--m", "m_str", default="", help=_M_HELP)
 @click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option("--max-i", "max_i", default=12, show_default=True, type=int)
+@click.option(
+    "--max-i",
+    "max_i",
+    default=12,
+    show_default=True,
+    type=click.IntRange(0, MAX_CHECK_INDEX),
+    help="Largest polynomial index checked.",
+)
 @click.option("--out", default=None, help="Output path (default stdout).")
 def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> None:
     """Tabulate predicted vs. actual degrees and the missing-degree set."""
-    if max_i < 0:
-        raise click.UsageError("--max-i must be non-negative")
     key = canonicalize(_parse_key(m_str, t_str))
     lines = [f"family {key}", f"{'i':>4}  {'predicted':>9}  {'actual':>7}"]
     ok = True

@@ -15,6 +15,12 @@ deformation recursions fast enough to verify whole parameter lattices.
 Scalars are ``fractions.Fraction`` throughout (aliased as ``Rat``): it already
 guarantees lowest terms and a positive denominator, which is exactly the
 canonical form we need.
+
+``poly_dot(terms)`` is the fused sum of products ``sum(a * b for a, b in
+terms)``: all products share one denominator and, for large operands, one
+Kronecker slot width and one unpack, and the result is normalized once
+instead of once per multiply, scale and add.  Each family polynomial is one
+such sum.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "Poly",
     "parse_rat",
     "rat_str",
+    "poly_dot",
     "poly_gcd",
 ]
 
@@ -81,9 +88,20 @@ def _content(nums: Iterable[int]) -> int:
 # correctly.  CPython's big-integer multiply runs at C speed, which beats a
 # Python-level double loop by well over an order of magnitude at the degrees
 # produced by determinant expansion.
+#
+# Packing is linear, so a sum of products sum_k f_k * a_k * b_k is also one
+# packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
+# its largest digit, sum_k |f_k| max|a_k| max|b_k| min(len a_k, len b_k).
+# ``poly_dot`` packs each operand once, adds the scaled big-integer products
+# and unpacks once, with the same helpers as a single product.
 # ---------------------------------------------------------------------------
 
 _SCHOOLBOOK_CUTOFF = 900  # product of operand lengths below which looping wins
+
+
+def _slot_bytes(bound: int) -> int:
+    """Slot width holding every digit of absolute value at most ``bound``."""
+    return (bound.bit_length() + 2 + 7) // 8  # room for sign bias
 
 
 def _pack(nums: Sequence[int], slot_bytes: int) -> int:
@@ -99,28 +117,22 @@ def _pack(nums: Sequence[int], slot_bytes: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    la, lb = len(a), len(b)
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    bound = amax * bmax * min(la, lb)
-    slot_bits = bound.bit_length() + 2  # room for sign bias
-    slot_bytes = (slot_bits + 7) // 8
-    slot_bits = slot_bytes * 8
-    product = _pack(a, slot_bytes) * _pack(b, slot_bytes)
-
-    n_out = la + lb - 1
-    half = 1 << (slot_bits - 1)
-    bias_slot = half.to_bytes(slot_bytes, "little")
-    bias = int.from_bytes(bias_slot * n_out, "little")
-    raw = (product + bias).to_bytes(n_out * slot_bytes + slot_bytes, "little")
-
+def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
+    """The ``n_out`` signed slot digits of ``packed``."""
+    half = 1 << (slot_bytes * 8 - 1)
+    bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * n_out, "little")
+    raw = (packed + bias).to_bytes(n_out * slot_bytes + slot_bytes, "little")
     # biased digits never overflow a slot, so chunks decode independently
-    out = []
-    for k in range(n_out):
-        chunk = int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little")
-        out.append(chunk - half)
-    return out
+    return [
+        int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
+        for k in range(n_out)
+    ]
+
+
+def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    slot_bytes = _slot_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    product = _pack(a, slot_bytes) * _pack(b, slot_bytes)
+    return _unpack(product, len(a) + len(b) - 1, slot_bytes)
 
 
 def _mul_nums(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -408,12 +420,15 @@ class Poly:
 
     def antiderivative_from_minus1(self) -> "Poly":
         """The antiderivative F with F' = self and F(-1) = 0, exactly."""
-        d = self._den
-        fracs = [_F0]
-        for k, n in enumerate(self._nums):
-            fracs.append(Fraction(n, d * (k + 1)))
-        partial = Poly(fracs)
-        return partial - partial.evaluate(-1)
+        nums = self._nums
+        if not nums:
+            return _ZERO
+        # over den * lcm(1..len), the coefficient of z^(k+1) is an integer
+        lcm = math.lcm(*range(1, len(nums) + 1))
+        out = [0]
+        out.extend(n * (lcm // (k + 1)) for k, n in enumerate(nums))
+        out[0] = sum(out[1::2]) - sum(out[2::2])  # -F(-1) of the integral part
+        return Poly._raw(out, self._den * lcm)
 
     def evaluate(self, x: RatLike) -> Fraction:
         """Exact Horner evaluation."""
@@ -526,8 +541,13 @@ class Poly:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> list[str]:
-        """Coefficient strings ``p/q``, index = power of z."""
-        return [rat_str(c) for c in self.coeffs]
+        """Coefficient strings ``p/q`` in lowest terms, index = power of z."""
+        d = self._den
+        out = []
+        for n in self._nums:
+            g = math.gcd(n, d)
+            out.append(f"{n // g}/{d // g}")
+        return out
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Poly":
@@ -545,6 +565,36 @@ def _coerce(value: object) -> Poly | None:
 _ZERO = Poly()
 _ONE = Poly([1])
 _X = Poly([0, 1])
+
+
+def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The sum of ``a * b`` over the pairs in ``terms``, normalized once.
+
+    Every product is brought to the least common denominator of the
+    products' denominators; large sums take one Kronecker product per term
+    in a shared slot width and one unpack (see the Kronecker comment above).
+    """
+    pairs = [(a._nums, b._nums, a._den * b._den) for a, b in terms if a._nums and b._nums]
+    if not pairs:
+        return _ZERO
+    den = math.lcm(*(d for _, _, d in pairs))
+    n_out = max(len(an) + len(bn) for an, bn, _ in pairs) - 1
+    if sum(len(an) * len(bn) for an, bn, _ in pairs) <= _SCHOOLBOOK_CUTOFF:
+        out = [0] * n_out
+        for an, bn, d in pairs:
+            f = den // d
+            for k, v in enumerate(_mul_nums(an, bn)):
+                out[k] += f * v
+        return Poly._raw(out, den)
+    bound = sum(
+        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * min(len(an), len(bn))
+        for an, bn, d in pairs
+    )
+    slot_bytes = _slot_bytes(bound)
+    total = sum(
+        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
+    )
+    return Poly._raw(_unpack(total, n_out, slot_bytes), den)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import legendre_poly, overlap_R
-from .polyring import Poly, RatLike, parse_rat, rat_str
+from .polyring import Poly, RatLike, parse_rat, poly_dot, rat_str
 from .ratfun import RatFun
 
 __all__ = [
@@ -280,10 +280,10 @@ def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, q: Sequence[Poly]) -> Poly
     # Last adjugate component of the key extended by level i (any parameter
     # there gives the same polynomial; expanding the bordered determinant
     # along its last row reduces it to data of the unextended family).
-    acc = tau_val * legendre_poly(i)
-    for c in range(key.n):
-        acc = acc - (overlap_R(i, key.m[c]) * q[c]).scale(key.t[c])
-    return acc
+    return poly_dot(
+        [(tau_val, legendre_poly(i))]
+        + [(overlap_R(i, m), qc.scale(-t)) for m, t, qc in zip(key.m, key.t, q)]
+    )
 
 
 def tau(key: FamilyKey) -> Poly:

@@ -24,6 +24,13 @@ def rodrigues_legendre(i: int) -> Poly:
     return p.scale(Fraction(1, 2**i * math.factorial(i)))
 
 
+def fraction_antiderivative(p: Poly) -> Poly:
+    """F with F' = p and F(-1) = 0, built one Fraction coefficient at a time
+    (the integral's coefficients c_k / (k + 1), then minus its value at -1)."""
+    partial = Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+    return partial - partial.evaluate(-1)
+
+
 LATTICE_T = (Fraction(1), Fraction(-1, 4), Fraction(7, 2))
 
 

@@ -1,13 +1,16 @@
 """Command-line surface: formats, round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 import xlegendre.cli as cli
+import xlegendre.xfamily as xfamily
 from xlegendre import FamilyKey, Poly, exceptional_poly, legendre_poly, norm_of, tau
 from xlegendre.cli import main
 
@@ -93,6 +96,76 @@ def test_gen_invalid_inputs_exit_2():
     assert _run("gen", "--m", "-3", "--t", "1").exit_code == 2
     assert _run("gen", "--m", "1", "--t", "1", "--i", "5..1").exit_code == 2
     assert _run("gen", "--m", "1", "--t", "1", "--i", "a").exit_code == 2
+
+
+# sha256 of the output bytes of one 4-level key at index 130, taken from the
+# Fraction-based antiderivative, per-term products and Fraction rendering
+_GEN_DIGESTS = {
+    "json": "b5a876569d95dd8d5dd46d5dda0d543bb9ff037c0f223684434af8cec1621d61",
+    "csv": "92c572ee9401879f1356b2555faf6cf69e273f792f826fa6ba5045c3cd357203",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_GEN_DIGESTS))
+def test_gen_high_index_bytes_pinned(fmt):
+    res = _run(
+        "gen", "--m", "0,1,2,4", "--t", "897/722,323/239,668/1003,409/313",
+        "--i", "0..130", "--format", fmt,
+    )
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _GEN_DIGESTS[fmt]
+
+
+# -- input caps -------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_family_built(monkeypatch):
+    def refuse(key):
+        raise AssertionError(f"family built for {key}")
+
+    monkeypatch.setattr(xfamily, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(xfamily, "XFamily", refuse)
+
+
+_OVER_LEVELS = (",".join(str(v) for v in range(cli.MAX_LEVELS + 1)),
+                ",".join(["1"] * (cli.MAX_LEVELS + 1)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--i", f"0..{cli.MAX_GEN_INDEX + 1}"),
+        ("gen", "--i", f"{cli.MAX_GEN_INDEX + 1}"),
+        ("gen", "--i", f"3,{cli.MAX_GEN_INDEX + 1}"),
+        ("gen", "--i", "0..1000000000000"),
+        ("verify", "--max-i", str(cli.MAX_CHECK_INDEX + 1)),
+        ("degrees", "--max-i", str(cli.MAX_CHECK_INDEX + 1)),
+        ("weight", "--samples", str(cli.MAX_SAMPLES + 1)),
+        ("gen", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
+        ("verify", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
+        ("weight", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
+        ("degrees", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
+    ],
+)
+def test_input_over_cap_exits_2_before_any_family(no_family_built, args):
+    cmd, *rest = args
+    if "--m" not in rest:
+        rest += ["--m", "1,3", "--t", "2/7,5/11"]
+    res = _run(cmd, *rest)
+    assert res.exit_code == 2, res.output
+
+
+def test_caps_are_stated_in_help():
+    for cmd, caps in (
+        ("gen", (cli.MAX_LEVELS, cli.MAX_GEN_INDEX)),
+        ("verify", (cli.MAX_LEVELS, cli.MAX_CHECK_INDEX)),
+        ("degrees", (cli.MAX_LEVELS, cli.MAX_CHECK_INDEX)),
+        ("weight", (cli.MAX_LEVELS, cli.MAX_SAMPLES)),
+    ):
+        text = _run(cmd, "--help").output
+        for cap in caps:
+            assert str(cap) in text, (cmd, cap)
 
 
 # -- verify ---------------------------------------------------------------------

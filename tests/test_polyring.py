@@ -5,13 +5,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from xlegendre import InexactDivisionError, NEG_INFINITY, Poly, parse_rat, poly_gcd, rat_str
+from xlegendre import (
+    InexactDivisionError,
+    NEG_INFINITY,
+    Poly,
+    parse_rat,
+    poly_dot,
+    poly_gcd,
+    rat_str,
+)
 
-from helpers import sparse_poly
+from helpers import fraction_antiderivative, sparse_poly
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rats, min_size=0, max_size=6).map(Poly)
 points = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+# coefficients up to about 2^200 over mixed denominators, and lengths on both
+# sides of the schoolbook/Kronecker cutoff
+_BIG = 2**200
+_near_big = st.integers(_BIG - 3, _BIG + 3)
+big_rats = st.builds(
+    Fraction,
+    st.one_of(_near_big.map(lambda v: -v), st.integers(-50, 50), _near_big),
+    st.one_of(st.integers(1, 12), _near_big),
+)
+big_polys = st.lists(big_rats, min_size=0, max_size=40).map(Poly)
+any_polys = st.one_of(polys, big_polys)
 
 
 # -- rational literals ------------------------------------------------------
@@ -105,6 +125,19 @@ def test_antiderivative_goldens():
     assert p22.antiderivative_from_minus1() == sparse_poly({0: 4, 1: 5, 3: -10, 5: 9}, 20)
 
 
+@given(any_polys)
+def test_antiderivative_matches_fraction_construction(p):
+    got, want = p.antiderivative_from_minus1(), fraction_antiderivative(p)
+    assert (got._nums, got._den) == (want._nums, want._den)
+
+
+def test_antiderivative_of_zero_and_of_huge_constant():
+    assert Poly.zero().antiderivative_from_minus1() is Poly.zero()
+    c = Fraction(2**200 + 1, 3)
+    got = Poly([c]).antiderivative_from_minus1()
+    assert (got._nums, got._den) == ((2**200 + 1, 2**200 + 1), 3)
+
+
 @given(polys)
 def test_antiderivative_roundtrip(p):
     f = p.antiderivative_from_minus1()
@@ -123,6 +156,59 @@ def test_evaluate_goldens():
 def test_evaluate_is_ring_homomorphism(a, b, x):
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
     assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+
+
+# -- fused sum of products ------------------------------------------------------
+
+
+def _naive_dot(terms):
+    acc = Poly.zero()
+    for a, b in terms:
+        acc = acc + a * b
+    return acc
+
+
+def _same(got, want):
+    assert (got._nums, got._den) == (want._nums, want._den)
+
+
+@given(st.lists(st.tuples(any_polys, any_polys), max_size=5))
+def test_poly_dot_matches_sum_of_products(terms):
+    _same(poly_dot(terms), _naive_dot(terms))
+
+
+@given(any_polys, any_polys, any_polys)
+def test_poly_dot_cancellation(a, b, c):
+    # the sum cancels to zero, or its top coefficients cancel
+    _same(poly_dot([(a, b), (-a, b)]), Poly.zero())
+    _same(poly_dot([(b, a), (a, c), (-a, b)]), a * c)
+
+
+def test_poly_dot_goldens():
+    assert poly_dot([]) is Poly.zero()
+    assert poly_dot([(Poly.zero(), Poly([1, 2]))]) is Poly.zero()
+    half_z = Poly([0, Fraction(1, 2)])
+    # (z/2)(z/2) - (1/3)(3/4 z^2 - 1) = 1/3, below the schoolbook cutoff
+    third = Poly([Fraction(-1, 3)])
+    assert poly_dot([(half_z, half_z), (third, Poly([-1, 0, Fraction(3, 4)]))]) == Poly(
+        [Fraction(1, 3)]
+    )
+    # the degree-118 products cancel to degree 89, above the cutoff
+    long = Poly(range(1, 61))
+    tail = Poly([0] * 30 + [Fraction(-1, 7)])
+    got = poly_dot([(long, long), (-long, long - tail)])
+    assert got == long * tail and got.degree == 89
+
+
+@pytest.mark.parametrize("bits", range(60, 68))
+def test_poly_dot_slots_hold_the_largest_digit(bits):
+    # equal extreme coefficients make the middle digits reach the slot bound,
+    # and one of eight consecutive sizes leaves no rounding slack in the slot
+    top = Poly([2**bits - 1] * 32)
+    bottom = -top
+    ones = Poly([1] * 32)
+    for terms in ([(top, top)] * 8, [(bottom, top)] * 8, [(top, top), (bottom, ones)]):
+        _same(poly_dot(terms), _naive_dot(terms))
 
 
 # -- division and gcd ---------------------------------------------------------
@@ -192,6 +278,11 @@ def test_json_format_and_roundtrip():
     assert Poly.from_json(p.to_json()) == p
 
 
-@given(polys)
+@given(any_polys)
 def test_json_roundtrip_random(p):
     assert Poly.from_json(p.to_json()) == p
+
+
+@given(any_polys)
+def test_json_matches_rat_str_of_each_coefficient(p):
+    assert p.to_json() == [rat_str(c) for c in p.coeffs]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from xlegendre import Poly, poly_gcd
+from xlegendre import Poly, PolyMatrix, legendre_poly, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -35,3 +35,42 @@ def test_gcd_matches_sympy(common, power, a, b, swap):
         x, y = y, x
     expected = sympy.gcd(_to_sympy(x), _to_sympy(y))
     assert _to_sympy(poly_gcd(x, y)) == expected
+
+
+def _matrices(max_n: int):
+    # small entries, with zeros often enough to force Bareiss row swaps
+    entry = st.one_of(st.just(Poly.zero()), _poly(3))
+    def square(n):
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    return st.integers(1, max_n).flatmap(square).map(PolyMatrix)
+
+
+def _sympy_det(m: PolyMatrix):
+    mat = sympy.Matrix(m.n, m.n, lambda i, j: _to_sympy(m[i, j]).as_expr())
+    return sympy.Poly(sympy.expand(mat.det(method="berkowitz")), _Z, domain=sympy.QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(4))
+@example(PolyMatrix([[Poly.zero(), Poly([1])], [Poly([0, 1]), Poly([2])]]))
+@example(
+    PolyMatrix(
+        [
+            [Poly.zero(), Poly([1]), Poly([0, 1]), Poly([3])],
+            [Poly.zero(), Poly([2]), Poly([1, 1]), Poly.zero()],
+            [Poly([1, 0, 1]), Poly.zero(), Poly([5]), Poly([0, 2])],
+            [Poly([Fraction(1, 2)]), Poly([7]), Poly.zero(), Poly([1])],
+        ]
+    )
+)
+def test_det_cofactor_and_bareiss_match_sympy(m):
+    expected = _sympy_det(m)
+    assert _to_sympy(m.det_cofactor()) == expected
+    assert _to_sympy(m.det_bareiss()) == expected
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 5, 13, 40])
+def test_legendre_poly_matches_sympy(i):
+    expected = sympy.Poly(sympy.legendre(i, _Z), _Z, domain=sympy.QQ)
+    assert _to_sympy(legendre_poly(i)) == expected
