@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 inadmissible parameters.  All computation is exact; decimals appear only
 in rendered output.
 
-Input whose cost the caps below do not bound (too many levels, too high an
-index, too many samples) is refused with exit 2 before any family is built.
+Input whose cost the caps below do not bound (too many levels, too high a
+degree of tau, too high an index, too many samples or digits) is refused with
+exit 2 before any family is built.
 """
 
 from __future__ import annotations
@@ -54,16 +55,19 @@ EXIT_INADMISSIBLE = 3
 
 ALL_SUITES = ("eigen", "ortho", "factor", "recur", "degree")
 
-# Input caps.  Exact coefficients grow with the index and the determinant
-# with the number of levels, so each bounds the cost of one invocation;
-# larger input exits 2.  Each is at least 4x the largest value exercised by
-# the test suite and the benchmark.
+# Input caps.  Exact coefficients grow with the index, and the determinant
+# with the number of levels and with deg tau, so each bounds the cost of one
+# invocation; larger input exits 2.  Each is at least 4x the largest value
+# exercised by the test suite and the benchmark.
 MAX_LEVELS = 16  # entries of --m, before duplicates are merged
+MAX_TAU_DEGREE = 128  # 2*sum(m) + n of --m as given, the degree of tau
 MAX_GEN_INDEX = 1000  # largest index of gen --i
 MAX_CHECK_INDEX = 64  # --max-i of verify and degrees
 MAX_SAMPLES = 100_000  # weight --samples
+MAX_PRECISION = 100  # weight --precision
 
-_M_HELP = f"Comma-separated levels (may be empty; at most {MAX_LEVELS})."
+_M_HELP = (f"Comma-separated levels (may be empty; at most {MAX_LEVELS}, "
+           f"with deg tau = 2*sum(m) + n at most {MAX_TAU_DEGREE}).")
 
 
 def _parse_key(m_str: str, t_str: str) -> FamilyKey:
@@ -76,6 +80,8 @@ def _parse_key(m_str: str, t_str: str) -> FamilyKey:
         t = tuple(parse_rat(s) for s in t_items)
         if any(v < 0 for v in m):
             raise ValueError("levels must be non-negative")
+        if 2 * sum(m) + len(m) > MAX_TAU_DEGREE:
+            raise ValueError(f"deg tau = 2*sum(m) + n is at most {MAX_TAU_DEGREE}")
         if len(m) != len(t):
             raise ValueError("--m and --t must have the same number of entries")
         return FamilyKey(m, t)
@@ -326,12 +332,11 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
     help="Grid points on [-1, 1], both ends included.",
 )
 @click.option("--out", default=None, help="CSV path (default stdout).")
-@click.option("--precision", default=17, show_default=True, type=int,
+@click.option("--precision", default=17, show_default=True,
+              type=click.IntRange(1, MAX_PRECISION),
               help="Significant digits for rendered values.")
 def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision: int) -> None:
     """Sample the weight 1/tau^2 on a uniform rational grid over [-1, 1]."""
-    if precision < 1:
-        raise click.UsageError("--precision must be positive")
     key = canonicalize(_parse_key(m_str, t_str))
     if not admissibility_formula(key):
         click.echo("inadmissible parameters: weight has poles on [-1, 1]", err=True)

@@ -7,7 +7,9 @@ constructs it
 * determinantally: an n-by-n polynomial matrix with entries
   ``delta_kl + t_l * R(m_k, m_l)`` (R = classical overlap antiderivative),
   whose determinant is the deformation polynomial ``tau``; the family
-  polynomials come from the adjugate acting on the classical Legendre vector;
+  polynomials come from the adjugate acting on the classical Legendre vector.
+  One fraction-free elimination gives both ``tau`` and the adjugate, without
+  a row swap, since the matrix is the identity at ``z = -1``;
 
 * recursively: one confluent Darboux step per level, which rewrites tau and
   the polynomials through exact polynomial divisions.
@@ -133,9 +135,22 @@ def canonicalize(key: FamilyKey) -> FamilyKey:
 
 
 class PolyMatrix:
-    """Square matrix of polynomials with exact determinant and adjugate."""
+    """Square matrix of polynomials with exact determinant and adjugate.
 
-    __slots__ = ("rows",)
+    Both come from one fraction-free Gauss-Jordan elimination on ``[M | I]``
+    (Bareiss 1968), run on the first call of either method.  Step k clears
+    column k off the diagonal by ``row_i <- (pivot * row_i - row_i[k] *
+    row_k) / previous pivot``, every division exact by Sylvester's identity,
+    and leaves ``[det(M) * I | adj(M)]`` at the end.  Rows are swapped only
+    at a zero pivot.  A deformation matrix (``build_matrix``) never needs a
+    swap, for any key: every ``R(m_k, m_l)`` vanishes at z = -1, so
+    ``M(-1) = I`` and every leading principal minor is 1 there.
+
+    ``det()`` returns 0 for a singular matrix; ``adjugate()`` raises
+    ``ValueError`` on one.
+    """
+
+    __slots__ = ("rows", "_elim")
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
         rows = tuple(tuple(row) for row in rows)
@@ -143,6 +158,7 @@ class PolyMatrix:
             if len(row) != len(rows):
                 raise ValueError("matrix must be square")
         self.rows = rows
+        self._elim: tuple[Poly, PolyMatrix | None] | None = None  # (det, adj)
 
     @property
     def n(self) -> int:
@@ -151,82 +167,19 @@ class PolyMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> Poly:
         return self.rows[idx[0]][idx[1]]
 
-    def submatrix(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        return PolyMatrix(
-            tuple(
-                tuple(e for j, e in enumerate(row) if j != drop_col)
-                for i, row in enumerate(self.rows)
-                if i != drop_row
-            )
-        )
-
     def det(self) -> Poly:
-        if self.n <= 3:
-            return self.det_cofactor()
-        return self.det_bareiss()
-
-    def det_cofactor(self) -> Poly:
-        n = self.n
-        if n == 0:
-            return Poly.one()
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        acc = Poly.zero()
-        for i in range(n):
-            entry = self.rows[i][0]
-            if entry.is_zero:
-                continue
-            minor = self.submatrix(i, 0).det_cofactor()
-            term = entry * minor
-            acc = acc + term if i % 2 == 0 else acc - term
-        return acc
-
-    def det_bareiss(self) -> Poly:
-        """Fraction-free elimination; every division along the way is exact."""
-        n = self.n
-        if n == 0:
-            return Poly.one()
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = Poly.one()
-        for k in range(n - 1):
-            if m[k][k].is_zero:
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Poly.zero()
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                row_i = m[i]
-                row_k = m[k]
-                head = row_i[k]
-                for j in range(k + 1, n):
-                    num = pivot * row_i[j] - head * row_k[j]
-                    row_i[j] = num.exact_div(prev)
-                row_i[k] = Poly.zero()
-            prev = pivot
-        result = m[n - 1][n - 1]
-        return result if sign > 0 else -result
+        # a pure function of the rows: concurrent first calls agree
+        if self._elim is None:
+            self._elim = _gauss_jordan(self.rows)
+        return self._elim[0]
 
     def adjugate(self) -> "PolyMatrix":
         """Transpose cofactor matrix: adj(M) @ M == det(M) * I."""
-        n = self.n
-        if n == 0:
-            return PolyMatrix(())
-        if n == 1:
-            return PolyMatrix(((Poly.one(),),))
-        out = [[Poly.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = self.submatrix(j, i).det()
-                out[i][j] = minor if (i + j) % 2 == 0 else -minor
-        return PolyMatrix(out)
+        self.det()
+        adj = self._elim[1]
+        if adj is None:
+            raise ValueError("adjugate of a singular matrix")
+        return adj
 
     def apply(self, vector: Sequence[Poly]) -> tuple[Poly, ...]:
         if len(vector) != self.n:
@@ -243,6 +196,44 @@ class PolyMatrix:
 
     def __hash__(self) -> int:
         return hash(self.rows)
+
+
+def _gauss_jordan(rows: tuple[tuple[Poly, ...], ...]) -> tuple[Poly, PolyMatrix | None]:
+    # Entries known a priori are never computed.  Before step k, left
+    # columns 0..k-1 are the previous pivot times the identity, and so are
+    # right columns k..n-1 (stored as None); step k sets right column k to
+    # -row_i[k] off the diagonal and to the previous pivot on it.
+    n = len(rows)
+    aug = [list(row) + [None] * n for row in rows]
+    order = list(range(n))  # order[j]: the row of M now at position j
+    sign, prev = 1, Poly.one()
+    for k in range(n):
+        swap = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
+        if swap is None:
+            return Poly.zero(), None
+        if swap != k:
+            aug[k], aug[swap] = aug[swap], aug[k]
+            order[k], order[swap] = order[swap], order[k]
+            sign = -sign
+        row_k = aug[k]
+        pivot = row_k[k]
+        for i, row in enumerate(aug):
+            if i == k:
+                continue
+            neg_head = -row[k]
+            for j in (*range(k + 1, n), *range(n, n + k)):
+                num = poly_dot(((pivot, row[j]), (neg_head, row_k[j])))
+                row[j] = num.exact_div(prev) if k else num
+            row[n + k] = neg_head
+        row_k[n + k] = prev
+        prev = pivot
+    # The right block is adj(P M) for the row permutation P, and
+    # adj(M) = det(P) * adj(P M) * P moves its column j to column order[j].
+    adj = [[None] * n for _ in range(n)]
+    for i, row in enumerate(aug):
+        for j, col in enumerate(order):
+            adj[i][col] = row[n + j] if sign > 0 else -row[n + j]
+    return (prev if sign > 0 else -prev), PolyMatrix(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +261,18 @@ def _tau_raw(key: FamilyKey) -> Poly:
 
 
 def _q_raw(key: FamilyKey) -> tuple[Poly, ...]:
-    if key.n == 0:
-        return ()
     adj = build_matrix(key).adjugate()
     return adj.apply(tuple(legendre_poly(m) for m in key.m))
 
 
-def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, q: Sequence[Poly]) -> Poly:
+def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, neg_tq: Sequence[Poly]) -> Poly:
     # Last adjugate component of the key extended by level i (any parameter
     # there gives the same polynomial; expanding the bordered determinant
     # along its last row reduces it to data of the unextended family).
+    # neg_tq[c] = -t_c * q_c does not depend on i.
     return poly_dot(
         [(tau_val, legendre_poly(i))]
-        + [(overlap_R(i, m), qc.scale(-t)) for m, t, qc in zip(key.m, key.t, q)]
+        + [(overlap_R(i, m), w) for m, w in zip(key.m, neg_tq)]
     )
 
 
@@ -477,6 +467,7 @@ class XFamily:
         "tau",
         "adjugate",
         "q",
+        "_neg_tq",
         "_xpolys",
         "_rows",
         "_overlaps",
@@ -491,11 +482,8 @@ class XFamily:
         self.matrix = build_matrix(key)
         self.tau = self.matrix.det()
         self.adjugate = self.matrix.adjugate()
-        self.q = (
-            self.adjugate.apply(tuple(legendre_poly(m) for m in key.m))
-            if key.n
-            else ()
-        )
+        self.q = self.adjugate.apply(tuple(legendre_poly(m) for m in key.m))
+        self._neg_tq = tuple(qc.scale(-t) for t, qc in zip(key.t, self.q))
         self._xpolys: dict[int, Poly] = {}
         self._rows: dict[int, tuple[Poly, ...]] = {}
         self._overlaps: dict[_PAIR, RatFun] = {}
@@ -506,7 +494,7 @@ class XFamily:
         hit = self._xpolys.get(i)
         if hit is not None:
             return hit
-        value = _xpoly_raw(self.key, i, self.tau, self.q)
+        value = _xpoly_raw(self.key, i, self.tau, self._neg_tq)
         with self._lock:
             return self._xpolys.setdefault(i, value)
 

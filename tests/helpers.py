@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from xlegendre import FamilyKey, Poly, RatFun, overlap_R
+from xlegendre import FamilyKey, Poly, PolyMatrix, RatFun, overlap_R
 from xlegendre.xfamily import _q_raw, _tau_raw, _xpoly_raw
 
 
@@ -31,13 +31,29 @@ def fraction_antiderivative(p: Poly) -> Poly:
     return partial - partial.evaluate(-1)
 
 
+def cofactor_det(mat: PolyMatrix) -> Poly:
+    """Determinant by cofactor expansion along the first column."""
+    rows = mat.rows
+    if not rows:
+        return Poly.one()
+    acc = Poly.zero()
+    for i, row in enumerate(rows):
+        if row[0].is_zero:
+            continue
+        minor = PolyMatrix([r[1:] for k, r in enumerate(rows) if k != i])
+        term = row[0] * cofactor_det(minor)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
 LATTICE_T = (Fraction(1), Fraction(-1, 4), Fraction(7, 2))
 
 
 def raw_xpoly(key: FamilyKey, i: int) -> Poly:
     """The i-th family polynomial expanded from the key's own matrix, as
     given: duplicate levels, zero parameters and level order are kept."""
-    return _xpoly_raw(key, i, _tau_raw(key), _q_raw(key))
+    neg_tq = tuple(qc.scale(-t) for t, qc in zip(key.t, _q_raw(key)))
+    return _xpoly_raw(key, i, _tau_raw(key), neg_tq)
 
 
 def full_lattice(max_n: int = 3, max_m: int = 5, include_classical: bool = False):

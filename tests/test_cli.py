@@ -130,6 +130,8 @@ def no_family_built(monkeypatch):
 
 _OVER_LEVELS = (",".join(str(v) for v in range(cli.MAX_LEVELS + 1)),
                 ",".join(["1"] * (cli.MAX_LEVELS + 1)))
+_HALF = cli.MAX_TAU_DEGREE // 2
+_OVER_TAU_DEGREE = (str(_HALF), f"1,{_HALF - 1}", f"{_HALF // 2},{_HALF - _HALF // 2}")
 
 
 @pytest.mark.parametrize(
@@ -146,6 +148,12 @@ _OVER_LEVELS = (",".join(str(v) for v in range(cli.MAX_LEVELS + 1)),
         ("verify", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
         ("weight", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
         ("degrees", "--m", _OVER_LEVELS[0], "--t", _OVER_LEVELS[1]),
+        ("weight", "--precision", str(cli.MAX_PRECISION + 1)),
+        # deg tau = 2*sum(m) + n just above the cap, counted before merging
+        ("gen", "--m", _OVER_TAU_DEGREE[0], "--t", "1"),
+        ("verify", "--m", _OVER_TAU_DEGREE[1], "--t", "1,1"),
+        ("degrees", "--m", _OVER_TAU_DEGREE[2], "--t", "1,-1"),
+        ("weight", "--m", _OVER_TAU_DEGREE[2], "--t", "1,1"),
     ],
 )
 def test_input_over_cap_exits_2_before_any_family(no_family_built, args):
@@ -158,10 +166,10 @@ def test_input_over_cap_exits_2_before_any_family(no_family_built, args):
 
 def test_caps_are_stated_in_help():
     for cmd, caps in (
-        ("gen", (cli.MAX_LEVELS, cli.MAX_GEN_INDEX)),
-        ("verify", (cli.MAX_LEVELS, cli.MAX_CHECK_INDEX)),
-        ("degrees", (cli.MAX_LEVELS, cli.MAX_CHECK_INDEX)),
-        ("weight", (cli.MAX_LEVELS, cli.MAX_SAMPLES)),
+        ("gen", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_GEN_INDEX)),
+        ("verify", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_CHECK_INDEX)),
+        ("degrees", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_CHECK_INDEX)),
+        ("weight", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_SAMPLES, cli.MAX_PRECISION)),
     ):
         text = _run(cmd, "--help").output
         for cap in caps:

@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from xlegendre import Poly, PolyMatrix, legendre_poly, poly_gcd
 
+from helpers import cofactor_det
+
 sympy = pytest.importorskip("sympy")
 
 _Z = sympy.Symbol("z")
@@ -38,7 +40,7 @@ def test_gcd_matches_sympy(common, power, a, b, swap):
 
 
 def _matrices(max_n: int):
-    # small entries, with zeros often enough to force Bareiss row swaps
+    # small entries, with zeros often enough to force row swaps
     entry = st.one_of(st.just(Poly.zero()), _poly(3))
     def square(n):
         return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -65,9 +67,10 @@ def _sympy_det(m: PolyMatrix):
     )
 )
 def test_det_cofactor_and_bareiss_match_sympy(m):
+    # the fraction-free elimination behind det() and the cofactor oracle
     expected = _sympy_det(m)
-    assert _to_sympy(m.det_cofactor()) == expected
-    assert _to_sympy(m.det_bareiss()) == expected
+    assert _to_sympy(cofactor_det(m)) == expected
+    assert _to_sympy(m.det()) == expected
 
 
 @pytest.mark.parametrize("i", [0, 1, 2, 5, 13, 40])

@@ -25,7 +25,13 @@ from xlegendre import (
 )
 from xlegendre.xfamily import _tau_raw, _q_raw
 
-from helpers import deformed_overlaps_oracle, full_lattice, raw_xpoly, sparse_poly
+from helpers import (
+    cofactor_det,
+    deformed_overlaps_oracle,
+    full_lattice,
+    raw_xpoly,
+    sparse_poly,
+)
 
 F = Fraction
 
@@ -98,15 +104,7 @@ def _matrix_strategy(n):
     ).map(PolyMatrix)
 
 
-@settings(max_examples=25)
-@given(_matrix_strategy(4))
-def test_bareiss_equals_cofactor(mat):
-    assert mat.det_bareiss() == mat.det_cofactor()
-
-
-@settings(max_examples=15)
-@given(_matrix_strategy(3))
-def test_adjugate_identity(mat):
+def _assert_adjugate_identity(mat):
     det = mat.det()
     adj = mat.adjugate()
     n = mat.n
@@ -116,17 +114,75 @@ def test_adjugate_identity(mat):
             assert got[j] == (det if i == j else Poly.zero())
 
 
+@settings(max_examples=25)
+@given(_matrix_strategy(4))
+def test_bareiss_equals_cofactor(mat):
+    assert mat.det() == cofactor_det(mat)
+
+
+@settings(max_examples=15)
+@given(_matrix_strategy(3))
+def test_adjugate_identity(mat):
+    if mat.det().is_zero:
+        with pytest.raises(ValueError):
+            mat.adjugate()
+    else:
+        _assert_adjugate_identity(mat)
+
+
+_levels = st.integers(0, 5)
+_params = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(_levels, min_size=n, max_size=n),
+            st.lists(_params, min_size=n, max_size=n),
+        )
+    )
+)
+def test_adjugate_identity_on_deformation_matrices(mt):
+    # unsorted levels, duplicates and zero parameters are drawn as well; the
+    # matrix of any key is I at z = -1, so no pivot of the elimination is zero
+    mat = build_matrix(FamilyKey(tuple(mt[0]), tuple(mt[1])))
+    n = mat.n
+    assert all(mat[k, l].evaluate(-1) == (k == l) for k in range(n) for l in range(n))
+    _assert_adjugate_identity(mat)
+
+
 def test_bareiss_equals_cofactor_on_family_matrices():
     key = FamilyKey((0, 2, 3, 5), (F(1), F(-1, 4), F(7, 2), F(1, 3)))
     mat = build_matrix(key)
-    assert mat.det_bareiss() == mat.det_cofactor()
+    assert mat.det() == cofactor_det(mat)
 
 
 def test_singular_matrix_determinant_zero():
     row = (Poly([1, 1]), Poly([0, 2]))
     mat = PolyMatrix((row, row))
-    assert mat.det_bareiss().is_zero
-    assert mat.det_cofactor().is_zero
+    assert mat.det().is_zero
+    assert cofactor_det(mat).is_zero
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((Poly.zero(),),),
+        ((Poly([1, 1]), Poly([0, 2])), (Poly([1, 1]), Poly([0, 2]))),
+        # the first pivot is zero, so a row swap comes before the zero column
+        (
+            (Poly.zero(), Poly([1]), Poly([2])),
+            (Poly([0, 1]), Poly([3]), Poly([1, 1])),
+            (Poly.zero(), Poly([2]), Poly([4])),
+        ),
+    ],
+)
+def test_adjugate_of_singular_matrix_raises(rows):
+    mat = PolyMatrix(rows)
+    assert mat.det().is_zero
+    with pytest.raises(ValueError, match="singular"):
+        mat.adjugate()
 
 
 # -- tau ------------------------------------------------------------------------
@@ -328,6 +384,13 @@ def test_recursive_equals_determinantal_sample():
         assert rec.tau == tau(key)
         for i in range(11):
             assert rec.xpolys[i] == exceptional_poly(key, i)
+
+
+def test_chain_tau_equals_determinantal_tau_at_ten_levels():
+    key = FamilyKey(tuple(range(10)), tuple(F(k + 2, k + 1) for k in range(10)))
+    mat = build_matrix(key)
+    assert recursive_family(key, 0).tau == mat.det()
+    assert mat.det().degree == 2 * sum(key.m) + key.n
 
 
 def test_recursive_overlap_base_example():
