@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Literal
 
 from .legendre import legendre_poly
-from .polyring import Poly
+from .polyring import Poly, poly_dot
 from .ratfun import RatFun
 from .xfamily import FamilyKey, exceptional_poly, family, tau
 
@@ -86,15 +87,19 @@ class OperatorSpec:
             raise ValueError("deformation polynomial must be nonzero")
 
 
+@lru_cache(maxsize=2)  # a family's eigen checks, or a step's two taus, share it
+def _coefficients(tau_val: Poly) -> tuple[Poly, Poly, Poly]:
+    """A, B, C with tau * (operator p) = A p'' + B p' + C p."""
+    dt = tau_val.differentiate()
+    b = poly_dot(((_ONE_MINUS_Z2, dt), (Poly.x(), tau_val))).scale(-2)
+    return _ONE_MINUS_Z2 * tau_val, b, _ONE_MINUS_Z2 * dt.differentiate()
+
+
 def t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     """Numerator of the operator applied to p, over denominator tau."""
-    dt = tau_val.differentiate()
-    dtt = dt.differentiate()
+    a, b, c = _coefficients(tau_val)
     dp = p.differentiate()
-    dpp = dp.differentiate()
-    return _ONE_MINUS_Z2 * (dpp * tau_val - (dt * dp).scale(2) + dtt * p) - (
-        _TWO_Z * dp * tau_val
-    )
+    return poly_dot(((a, dp.differentiate()), (b, dp), (c, p)))
 
 
 def apply_T_hat(spec: OperatorSpec, p: Poly) -> RatFun:
@@ -143,7 +148,10 @@ def verify_eigen(key: FamilyKey, i: int) -> bool:
     """Exact check that the i-th family polynomial has eigenvalue -i(i+1)."""
     fam = family(key)
     p = fam.polynomial(i)
-    return t_hat_numerator(fam.tau, p) == (p * fam.tau).scale(eigenvalue(i))
+    a, b, c = _coefficients(fam.tau)
+    c_lam = c - fam.tau.scale(eigenvalue(i))
+    dp = p.differentiate()
+    return poly_dot(((a, dp.differentiate()), (b, dp), (c_lam, p))).is_zero
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ canonical form we need.
 ``poly_dot(terms)`` is the fused sum of products ``sum(a * b for a, b in
 terms)``: all products share one denominator and, for large operands, one
 Kronecker slot width and one unpack, and the result is normalized once
-instead of once per multiply, scale and add.  Each family polynomial is one
-such sum.
+instead of once per multiply, scale and add.  Family polynomials, elimination
+and chain steps, adjugate rows and overlap numerators (``xfamily``), and the
+operator numerator and eigen residual (``operators``) are one such sum each.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def _content(nums: Iterable[int]) -> int:
 # packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
 # its largest digit, sum_k |f_k| max|a_k| max|b_k| min(len a_k, len b_k).
 # ``poly_dot`` packs each operand once, adds the scaled big-integer products
-# and unpacks once, with the same helpers as a single product.
+# and unpacks once, with the same helpers as a single product.  Below the
+# cutoff it adds each f_k*a_i*b_j into the output, a_i from the shorter operand.
 # ---------------------------------------------------------------------------
 
 _SCHOOLBOOK_CUTOFF = 900  # product of operand lengths below which looping wins
@@ -582,9 +584,15 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
     if sum(len(an) * len(bn) for an, bn, _ in pairs) <= _SCHOOLBOOK_CUTOFF:
         out = [0] * n_out
         for an, bn, d in pairs:
+            if len(an) > len(bn):
+                an, bn = bn, an
             f = den // d
-            for k, v in enumerate(_mul_nums(an, bn)):
-                out[k] += f * v
+            for i, ai in enumerate(an):
+                if ai:
+                    fa = f * ai
+                    for k, bj in enumerate(bn, i):
+                        if bj:
+                            out[k] += fa * bj
         return Poly._raw(out, den)
     bound = sum(
         (den // d) * max(map(abs, an)) * max(map(abs, bn)) * min(len(an), len(bn))

@@ -184,10 +184,7 @@ class PolyMatrix:
     def apply(self, vector: Sequence[Poly]) -> tuple[Poly, ...]:
         if len(vector) != self.n:
             raise ValueError("vector length must match matrix size")
-        return tuple(
-            sum((row[j] * vector[j] for j in range(self.n)), Poly.zero())
-            for row in self.rows
-        )
+        return tuple(poly_dot(zip(row, vector)) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -329,8 +326,8 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # against the levels not yet applied.  One step with level m, parameter t is
 #
 #   tau_next = tau + t*N[m, m]
-#   P_next_i = (tau_next*P_i - t*N[i, m]*P_m) / tau
-#   N_next   = (N[i1, i2]*tau_next - t*N[i1, m]*N[i2, m]) / tau
+#   P_next_i = (tau_next*P_i + N[i, m]*(-t*P_m)) / tau
+#   N_next   = (N[i1, i2]*tau_next + N[i1, m]*(-t*N[i2, m])) / tau
 #
 # since tau_next = tau*(1 + t*overlap[m, m]) and a step deforms an overlap to
 # overlap[i1, i2] - t*overlap[i1, m]*overlap[i2, m] / (1 + t*overlap[m, m]).
@@ -341,7 +338,8 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # alone gives tau = -z^3).  Were this wrong, exact_div would raise
 # InexactDivisionError; it cannot return a wrong value.  Every overlap
 # vanishes at z = -1, so every step keeps tau_j(-1) = 1: no parameter makes
-# a divisor identically zero.
+# a divisor identically zero.  Each numerator is one two-term poly_dot, -t
+# folded into its second operand once per step (-t*P_m) or per level i2.
 #
 # Only the overlap columns against the not-yet-applied levels are carried,
 # which is all the polynomial steps read; XFamily.overlap has every pair in
@@ -366,23 +364,21 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
     cols = {_pkey(x, m): overlap_R(x, m) for m in key.m for x in indices}
     for j, (level, t) in enumerate(zip(key.m, key.t)):
         tau_next = tau_prev + cols[(level, level)].scale(t)
-        p_level = polys[level]
+        neg_tp = polys[level].scale(-t)
         polys = {
-            i: (tau_next * p - (cols[_pkey(i, level)] * p_level).scale(t)).exact_div(
+            i: poly_dot(((tau_next, p), (cols[_pkey(i, level)], neg_tp))).exact_div(
                 tau_prev
             )
             for i, p in polys.items()
         }
         nxt: dict[_PAIR, Poly] = {}
         for mk in key.m[j + 1 :]:
+            neg_tn = cols[_pkey(mk, level)].scale(-t)
             for x in indices:
                 pair = _pkey(x, mk)
-                if pair in nxt:
-                    continue
-                u = cols[pair] * tau_next - (
-                    cols[_pkey(x, level)] * cols[_pkey(mk, level)]
-                ).scale(t)
-                nxt[pair] = u.exact_div(tau_prev)
+                if pair not in nxt:
+                    terms = ((cols[pair], tau_next), (cols[_pkey(x, level)], neg_tn))
+                    nxt[pair] = poly_dot(terms).exact_div(tau_prev)
         cols = nxt
         tau_prev = tau_next
     return tau_prev, polys
@@ -511,15 +507,14 @@ class XFamily:
         return rec
 
     def _row(self, i: int) -> tuple[Poly, ...]:
-        # a_i[l] = sum_k t_k R(i, m_k) adj[k, l], shared by every pair (i, j)
+        # -a_i[l] = sum_k -t_k R(i, m_k) adj[k, l], shared by every pair (i, j)
         hit = self._rows.get(i)
         if hit is not None:
             return hit
         key, adj = self.key, self.adjugate
-        scaled = [overlap_R(i, m).scale(t) for m, t in zip(key.m, key.t)]
+        scaled = [overlap_R(i, m).scale(-t) for m, t in zip(key.m, key.t)]
         value = tuple(
-            sum((scaled[k] * adj[k, l] for k in range(key.n)), Poly.zero())
-            for l in range(key.n)
+            poly_dot((scaled[k], adj[k, l]) for k in range(key.n)) for l in range(key.n)
         )
         with self._lock:
             return self._rows.setdefault(i, value)
@@ -532,10 +527,10 @@ class XFamily:
         if hit is not None:
             return hit
         i, j = pair
-        row = self._row(i)
-        num = self.tau * overlap_R(i, j)
-        for a, m in zip(row, self.key.m):
-            num = num - a * overlap_R(m, j)
+        num = poly_dot(
+            [(self.tau, overlap_R(i, j))]
+            + [(neg_a, overlap_R(m, j)) for neg_a, m in zip(self._row(i), self.key.m)]
+        )
         value = RatFun.of(num, self.tau)
         with self._lock:
             return self._overlaps.setdefault(pair, value)

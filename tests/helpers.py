@@ -46,6 +46,15 @@ def cofactor_det(mat: PolyMatrix) -> Poly:
     return acc
 
 
+def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
+    """tau times the deformed operator applied to p, from separate products:
+    (1-z^2)(p'' tau - 2 tau' p' + tau'' p) - 2 z p' tau."""
+    dt = tau_val.differentiate()
+    dp = p.differentiate()
+    inner = dp.differentiate() * tau_val - (dt * dp).scale(2) + dt.differentiate() * p
+    return Poly([1, 0, -1]) * inner - Poly([0, 2]) * dp * tau_val
+
+
 LATTICE_T = (Fraction(1), Fraction(-1, 4), Fraction(7, 2))
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from xlegendre import (
     FamilyKey,
@@ -24,10 +25,15 @@ from xlegendre import (
     verify_intertwining,
     wronskian,
 )
-from xlegendre import operators
+from xlegendre import operators, xfamily
 from xlegendre.operators import FactorizationReport, IdentityCheck, t_hat_numerator
 
-from helpers import full_lattice, rodrigues_legendre, sparse_poly
+from helpers import (
+    full_lattice,
+    rodrigues_legendre,
+    sparse_poly,
+    unfused_t_hat_numerator,
+)
 
 F = Fraction
 
@@ -171,6 +177,33 @@ def test_verify_eigen_examples():
     assert verify_eigen(FamilyKey((3,), (F(7, 2),)), 0)  # eigenvalue 0
     assert verify_eigen(FamilyKey((4,), (F(26, 5),)), 5)
     assert verify_eigen(FamilyKey((1, 2), (F(2), F(-8, 5))), 3)
+
+
+_rats = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@given(
+    st.lists(_rats, min_size=1, max_size=12).map(Poly).filter(bool),
+    st.lists(_rats, max_size=14).map(Poly),
+)
+@example(Poly([F(-3, 2)]), Poly([1, 2, 3]))  # constant tau
+@example(Poly([1, 0, 0, 5]), Poly.zero())
+@example(Poly([1]), Poly.zero())
+def test_t_hat_numerator_matches_unfused_oracle(tau_val, p):
+    assert t_hat_numerator(tau_val, p) == unfused_t_hat_numerator(tau_val, p)
+
+
+def test_verify_eigen_rejects_a_perturbed_family_polynomial(monkeypatch):
+    # P_i + z^k is no eigenfunction: the fused residual must see it
+    key = FamilyKey((1, 2), (F(2), F(-8, 5)))
+    assert all(verify_eigen(key, i) for i in range(5))
+    original = xfamily.XFamily.polynomial
+    for k in (0, 1, 4):
+        shifted = Poly.monomial(k)
+        monkeypatch.setattr(
+            xfamily.XFamily, "polynomial", lambda fam, i: original(fam, i) + shifted
+        )
+        assert not any(verify_eigen(key, i) for i in range(5)), k
 
 
 def test_eigen_identity_fails_for_wrong_eigenvalue():

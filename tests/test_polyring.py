@@ -200,6 +200,56 @@ def test_poly_dot_goldens():
     assert got == long * tail and got.degree == 89
 
 
+# below the schoolbook cutoff: interior zeros, mixed denominators, and either
+# operand the longer one
+_sparse_rats = st.one_of(st.just(Fraction(0)), rats)
+_short_sparse = st.lists(_sparse_rats, max_size=14).map(Poly)
+
+
+@given(st.lists(st.tuples(_short_sparse, _short_sparse), max_size=4))
+def test_poly_dot_schoolbook_matches_sum_of_products(terms):
+    _same(poly_dot(terms), _naive_dot(terms))
+
+
+def test_poly_dot_schoolbook_longer_operand_first():
+    long = sparse_poly({0: 3, 4: -5, 9: 7}, den=4)
+    short = Poly([Fraction(1, 3), 0, Fraction(-2, 9)])
+    fifth = Poly([Fraction(1, 5)])
+    for terms in (
+        [(long, short)],
+        [(long, short), (short, long.scale(Fraction(5, 7))), (fifth, long)],
+        [(long, long), (short, short), (Poly.x(), fifth)],
+    ):
+        _same(poly_dot(terms), _naive_dot(terms))
+    # (3 - 5z^4 + 7z^9)/4 * (1/3 - 2z^2/9) + z/5
+    want = [Fraction(1, 4), Fraction(1, 5), Fraction(-1, 6), 0, Fraction(-5, 12), 0,
+            Fraction(5, 18), 0, 0, Fraction(7, 12), 0, Fraction(-7, 18)]
+    assert poly_dot([(long, short), (fifth, Poly.x())]) == Poly(want)
+
+
+class _CountingInt(int):
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_poly_dot_schoolbook_loops_over_the_shorter_operand():
+    # the shorter operand is the outer loop, so each of its nonzero
+    # coefficients enters one product, with the denominator factor
+    short = Poly._raw([_CountingInt(v) for v in (3, 0, -2)], 5)
+    long = Poly([Fraction(k - 4, 3) for k in range(11)])
+    want = _naive_dot([(short, long)])
+    for terms in ([(short, long)], [(long, short)]):
+        _CountingInt.products = 0
+        got = poly_dot(terms)
+        assert _CountingInt.products == 2
+        _same(got, want)
+
+
 @pytest.mark.parametrize("bits", range(60, 68))
 def test_poly_dot_slots_hold_the_largest_digit(bits):
     # equal extreme coefficients make the middle digits reach the slot bound,

@@ -393,6 +393,16 @@ def test_chain_tau_equals_determinantal_tau_at_ten_levels():
     assert mat.det().degree == 2 * sum(key.m) + key.n
 
 
+def test_chain_polynomials_equal_determinantal_at_six_levels():
+    t = (F(3, 2), F(-1, 3), F(5, 4), F(2), F(-7, 5), F(1, 6))
+    key = FamilyKey((0, 1, 2, 3, 4, 6), t)
+    rec = recursive_family(key, 6)
+    fam = family(key)
+    assert rec.tau == fam.tau
+    for i in range(7):
+        assert rec.xpolys[i] == fam.polynomial(i), i
+
+
 def test_recursive_overlap_base_example():
     rec = recursive_family(FamilyKey((0,), (F(1),)), 2)
     ov = rec.overlaps[(0, 0)]
@@ -464,10 +474,13 @@ def test_chain_crosses_tau_with_repeated_root():
 
 def test_closed_form_overlaps_match_level_by_level_deformation():
     keys = full_lattice(3, 5)[::17] + [FamilyKey((0, 1, 2, 4), (F(1), F(1, 2), F(-1, 4), F(2)))]
-    assert {key.n for key in keys} == {1, 2, 3, 4}
-    for key in keys:
+    cases = [(key, range(6)) for key in keys]
+    five = FamilyKey((0, 1, 2, 3, 5), (F(1), F(1, 2), F(-1, 4), F(2), F(-3, 7)))
+    cases.append((five, range(5)))
+    assert {key.n for key, _ in cases} == {1, 2, 3, 4, 5}
+    for key, indices in cases:
         fam = family(key)
-        expected = deformed_overlaps_oracle(key, range(6))
+        expected = deformed_overlaps_oracle(key, indices)
         for (i1, i2), value in expected.items():
             assert fam.overlap(i1, i2) == value, (key, i1, i2)
             assert fam.overlap(i2, i1) is fam.overlap(i1, i2)
