@@ -20,12 +20,6 @@ from .admissibility import (
 )
 from .legendre import classical_norm, legendre_poly, overlap_R
 from .operators import (
-    FirstOrderOp,
-    OperatorSpec,
-    a_op,
-    apply_T_hat,
-    apply_first_order,
-    b_op,
     eigenvalue,
     verify_eigen,
     verify_factorization,
@@ -63,11 +57,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FamilyKey",
-    "FirstOrderOp",
     "InadmissibleKeyError",
     "InexactDivisionError",
     "NEG_INFINITY",
-    "OperatorSpec",
     "PoleError",
     "Poly",
     "PolyMatrix",
@@ -76,11 +68,7 @@ __all__ = [
     "RecursiveFamily",
     "SturmChain",
     "XFamily",
-    "a_op",
     "admissibility_record",
-    "apply_T_hat",
-    "apply_first_order",
-    "b_op",
     "build_matrix",
     "canonicalize",
     "classical_norm",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Poly, Rat, RatLike
+from .polyring import Poly, Rat, RatLike, remainder_sequence
 from .xfamily import FamilyKey, canonicalize, family, tau
 
 __all__ = [
@@ -46,8 +46,9 @@ class InadmissibleKeyError(ValueError):
 class SturmChain:
     """Sign-variation chain: p, p', then negated remainders down to the gcd.
 
-    Every element is normalized to its primitive integer part (a positive
-    rescaling, so sign patterns are untouched and coefficients stay small).
+    The chain is ``remainder_sequence(p, p')``: every element is its
+    primitive integer part, each a positive multiple of the Sturm element
+    over Q, so sign patterns are untouched and coefficients stay integers.
     """
 
     chain: tuple[Poly, ...]
@@ -56,16 +57,7 @@ class SturmChain:
     def of(cls, p: Poly) -> "SturmChain":
         if p.is_zero:
             raise ValueError("Sturm chain of the zero polynomial")
-        first = p.primitive_part()
-        chain = [first]
-        if first.degree > 0:
-            chain.append(first.differentiate().primitive_part())
-            while chain[-1].degree > 0:
-                rem = chain[-2] % chain[-1]
-                if rem.is_zero:
-                    break
-                chain.append((-rem).primitive_part())
-        return cls(tuple(chain))
+        return cls(remainder_sequence(p, p.differentiate()))
 
     def variations_at(self, x: RatLike) -> int:
         signs = []

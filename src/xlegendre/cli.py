@@ -368,20 +368,18 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
 def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> None:
     """Tabulate predicted vs. actual degrees and the missing-degree set."""
     key = canonicalize(_parse_key(m_str, t_str))
+    report = _suite_degree(key, max_i)
     lines = [f"family {key}", f"{'i':>4}  {'predicted':>9}  {'actual':>7}"]
-    ok = True
-    for i in range(max_i + 1):
-        predicted = expected_degree(key, i)
-        actual = int(exceptional_poly(key, i).degree)
-        ok = ok and predicted == actual
-        lines.append(f"{i:>4}  {predicted:>9}  {actual:>7}")
-    missing = missing_degrees(key)
-    tau_degree = int(tau(key).degree) if key.n else 0
-    ok = ok and len(missing) == tau_degree
+    for e in report["entries"]:
+        lines.append(f"{e['i']:>4}  {e['predicted']:>9}  {e['actual']:>7}")
+    missing = report["missing_degrees"]
     lines.append(f"missing degrees ({len(missing)}): {missing}")
-    lines.append(f"deg tau = {tau_degree}; codimension match: {len(missing) == tau_degree}")
+    lines.append(
+        f"deg tau = {int(tau(key).degree)}; "
+        f"codimension match: {report['codimension_matches_tau_degree']}"
+    )
     _write_output("\n".join(lines) + "\n", out)
-    sys.exit(EXIT_OK if ok else EXIT_VERIFICATION_FAILED)
+    sys.exit(EXIT_OK if report["pass"] else EXIT_VERIFICATION_FAILED)
 
 
 if __name__ == "__main__":

@@ -25,35 +25,23 @@ V_tau = (1-z^2)*Wr(tau, f) - 2*z*tau*f,
 
 so each identity certifying a deformation step is checked as an exact
 polynomial identity between numerators, after multiplying both sides by the
-common denominator.  No rational function is reduced on the way.
-
-``apply_T_hat`` and ``apply_first_order`` apply the same operators to
-canonical rational functions; they are kept for callers that want the
-operator values themselves, and the tests use them as an independent oracle
-for the numerator identities.
+common denominator.  No rational function is reduced on the way.  The tests
+apply the same operators to canonical rational functions (``tests/helpers.py``)
+as an independent oracle for the numerator identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Literal
+from typing import Callable
 
-from .legendre import legendre_poly
 from .polyring import Poly, poly_dot
-from .ratfun import RatFun
 from .xfamily import FamilyKey, exceptional_poly, family, tau
 
 __all__ = [
     "FactorizationReport",
-    "FirstOrderOp",
     "IdentityCheck",
-    "OperatorSpec",
-    "a_op",
-    "apply_T_hat",
-    "apply_first_order",
-    "b_op",
     "eigenvalue",
     "t_hat_numerator",
     "verify_eigen",
@@ -76,17 +64,6 @@ def wronskian(a: Poly, b: Poly) -> Poly:
     return a * b.differentiate() - a.differentiate() * b
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Second-order operator determined by a nonzero deformation polynomial."""
-
-    tau: Poly
-
-    def __post_init__(self) -> None:
-        if self.tau.is_zero:
-            raise ValueError("deformation polynomial must be nonzero")
-
-
 @lru_cache(maxsize=2)  # a family's eigen checks, or a step's two taus, share it
 def _coefficients(tau_val: Poly) -> tuple[Poly, Poly, Poly]:
     """A, B, C with tau * (operator p) = A p'' + B p' + C p."""
@@ -100,48 +77,6 @@ def t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     a, b, c = _coefficients(tau_val)
     dp = p.differentiate()
     return poly_dot(((a, dp.differentiate()), (b, dp), (c, p)))
-
-
-def apply_T_hat(spec: OperatorSpec, p: Poly) -> RatFun:
-    """Apply the operator; the result is polynomial exactly on eigenfunctions."""
-    return RatFun.of(t_hat_numerator(spec.tau, p), spec.tau)
-
-
-@dataclass(frozen=True)
-class FirstOrderOp:
-    """First-order factorization operator of kind A or B (see module docs)."""
-
-    kind: Literal["A", "B"]
-    first: Poly
-    second: Poly
-
-    def __post_init__(self) -> None:
-        if self.first.is_zero or self.second.is_zero:
-            raise ValueError("factorization operator polynomials must be nonzero")
-
-
-def a_op(tau_val: Poly, phi: Poly) -> FirstOrderOp:
-    return FirstOrderOp("A", tau_val, phi)
-
-
-def b_op(phi: Poly, tau_val: Poly) -> FirstOrderOp:
-    return FirstOrderOp("B", phi, tau_val)
-
-
-def apply_first_order(op: FirstOrderOp, f: RatFun | Poly) -> RatFun:
-    if isinstance(f, Poly):
-        f = RatFun.from_poly(f)
-    u, v = f.num, f.den
-    wr_uv = u.differentiate() * v - u * v.differentiate()  # (u/v)' numerator over v^2
-    if op.kind == "A":
-        tau_val, phi = op.first, op.second
-        num = phi * wr_uv - phi.differentiate() * (u * v)
-        return RatFun.of(num, tau_val * v * v)
-    phi, tau_val = op.first, op.second
-    num = _ONE_MINUS_Z2 * (tau_val * wr_uv - tau_val.differentiate() * (u * v)) - (
-        _TWO_Z * tau_val * (u * v)
-    )
-    return RatFun.of(num, phi * v * v)
 
 
 def verify_eigen(key: FamilyKey, i: int) -> bool:

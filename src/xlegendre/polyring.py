@@ -19,9 +19,15 @@ canonical form we need.
 ``poly_dot(terms)`` is the fused sum of products ``sum(a * b for a, b in
 terms)``: all products share one denominator and, for large operands, one
 Kronecker slot width and one unpack, and the result is normalized once
-instead of once per multiply, scale and add.  Family polynomials, elimination
-and chain steps, adjugate rows and overlap numerators (``xfamily``), and the
-operator numerator and eigen residual (``operators``) are one such sum each.
+instead of once per multiply, scale and add.  Every product, single or
+summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
+polynomials, elimination and chain steps, adjugate rows and overlap
+numerators (``xfamily``), and the operator numerator and eigen residual
+(``operators``) are one such sum each.
+
+``remainder_sequence(a, b)`` is the one integer primitive remainder sequence:
+``poly_gcd`` reads its last element and the Sturm chain (``admissibility``)
+is the whole sequence of p and p'.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "rat_str",
     "poly_dot",
     "poly_gcd",
+    "remainder_sequence",
 ]
 
 
@@ -94,7 +101,7 @@ def _content(nums: Iterable[int]) -> int:
 # packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
 # its largest digit, sum_k |f_k| max|a_k| max|b_k| min(len a_k, len b_k).
 # ``poly_dot`` packs each operand once, adds the scaled big-integer products
-# and unpacks once, with the same helpers as a single product.  Below the
+# and unpacks once; a single product is the sum with one term.  Below the
 # cutoff it adds each f_k*a_i*b_j into the output, a_i from the shorter operand.
 # ---------------------------------------------------------------------------
 
@@ -129,25 +136,6 @@ def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
         int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
         for k in range(n_out)
     ]
-
-
-def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    slot_bytes = _slot_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
-    product = _pack(a, slot_bytes) * _pack(b, slot_bytes)
-    return _unpack(product, len(a) + len(b) - 1, slot_bytes)
-
-
-def _mul_nums(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-    return _mul_kronecker(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +364,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._nums or not other._nums:
-            return _ZERO
-        return Poly._raw(_mul_nums(self._nums, other._nums), self._den * other._den)
+        return poly_dot(((self, other),))
 
     def __rmul__(self, other: "Poly | RatLike") -> "Poly":
         return self.__mul__(other)
@@ -576,16 +562,24 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
     products' denominators; large sums take one Kronecker product per term
     in a shared slot width and one unpack (see the Kronecker comment above).
     """
-    pairs = [(a._nums, b._nums, a._den * b._den) for a, b in terms if a._nums and b._nums]
-    if not pairs:
-        return _ZERO
-    den = math.lcm(*(d for _, _, d in pairs))
-    n_out = max(len(an) + len(bn) for an, bn, _ in pairs) - 1
-    if sum(len(an) * len(bn) for an, bn, _ in pairs) <= _SCHOOLBOOK_CUTOFF:
-        out = [0] * n_out
-        for an, bn, d in pairs:
+    pairs = []
+    den = 1
+    n_out = work = 0
+    for a, b in terms:
+        an, bn = a._nums, b._nums
+        if an and bn:
             if len(an) > len(bn):
                 an, bn = bn, an
+            d = a._den * b._den
+            pairs.append((an, bn, d))
+            den = math.lcm(den, d)
+            n_out = max(n_out, len(an) + len(bn) - 1)
+            work += len(an) * len(bn)
+    if not pairs:
+        return _ZERO
+    if work <= _SCHOOLBOOK_CUTOFF:
+        out = [0] * n_out
+        for an, bn, d in pairs:
             f = den // d
             for i, ai in enumerate(an):
                 if ai:
@@ -595,7 +589,7 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
                             out[k] += fa * bj
         return Poly._raw(out, den)
     bound = sum(
-        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * min(len(an), len(bn))
+        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
         for an, bn, d in pairs
     )
     slot_bytes = _slot_bytes(bound)
@@ -606,27 +600,20 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd over Q[z].
+# Primitive remainder sequences over Q[z].
 #
 # Primitive pseudo-remainder sequence (von zur Gathen & Gerhard, Modern
-# Computer Algebra, ch. 6): both inputs are stripped to primitive integer
-# parts, and every pseudo-remainder is stripped again, which keeps the chain
-# in integers and the coefficient growth linear along it.  The last nonzero
-# element, made monic, is the gcd; a constant remainder proves coprimality.
-# It serves ``RatFun`` reduction, which no verification path needs, so the
-# simplest exact route is the only one.
+# Computer Algebra, ch. 6): every element is stripped to its primitive
+# integer part, which keeps the sequence in integers and the coefficient
+# growth linear along it.  Each element is the negated remainder of the two
+# before it, up to a positive factor, so the same sequence is the gcd (its
+# last element) and the Sturm chain of p (the sequence of p and p').
 # ---------------------------------------------------------------------------
 
 
-def _primitive_positive(nums: Sequence[int]) -> list[int]:
-    g = _content(nums)
-    if nums[-1] < 0:
-        g = -g
-    return [v // g for v in nums]
-
-
 def _prem_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Integer pseudo-remainder of f by g (up to a positive constant factor)."""
+    """Integer pseudo-remainder of f by g: lc(g)**e times the remainder of
+    f by g over Q, where e >= 0 counts the nonzero leading terms cancelled."""
     dg = len(g) - 1
     lg = g[-1]
     r = list(f)
@@ -647,19 +634,30 @@ def _prem_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return r
 
 
+def remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
+    """a, b, then the negated pseudo-remainder of the two elements before,
+    up to the last nonzero element; a must be nonzero.
+
+    Every element is its primitive integer part with its sign kept.  Each
+    pseudo-remainder is taken by a divisor with positive leading
+    coefficient, so it is a positive multiple of the remainder over Q.
+    """
+    seq = [a.primitive_part()]
+    r, sign = b._nums, 1
+    while r:
+        c = sign * _content(r)
+        g = [v // c for v in r]
+        r = _prem_int(seq[-1]._nums, g if g[-1] > 0 else [-v for v in g])
+        seq.append(Poly._raw(g, 1))
+        sign = -1
+    return tuple(seq)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two polynomials over the rationals."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    fa = _primitive_positive(a._nums)
-    fb = _primitive_positive(b._nums)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while len(fb) > 1:
-        rn = _prem_int(fa, fb)
-        if not rn:
-            return Poly._raw(fb, 1).monic()
-        fa, fb = fb, _primitive_positive(rn)
-    return _ONE
+    last = remainder_sequence(a, b)[-1]
+    return last.monic() if last.degree > 0 else _ONE

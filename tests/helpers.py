@@ -1,12 +1,15 @@
-"""Shared test utilities: compact polynomial builders and parameter lattices."""
+"""Shared test utilities: compact polynomial builders, parameter lattices,
+and the independent oracles the package is checked against."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal
 
-from xlegendre import FamilyKey, Poly, PolyMatrix, RatFun, overlap_R
+from xlegendre import FamilyKey, Poly, PolyMatrix, RatFun, operators, overlap_R
 from xlegendre.xfamily import _q_raw, _tau_raw, _xpoly_raw
 
 
@@ -53,6 +56,86 @@ def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     dp = p.differentiate()
     inner = dp.differentiate() * tau_val - (dt * dp).scale(2) + dt.differentiate() * p
     return Poly([1, 0, -1]) * inner - Poly([0, 2]) * dp * tau_val
+
+
+def rational_sturm_chain(p: Poly) -> tuple[Poly, ...]:
+    """Sturm chain of p with remainders over Q: p, p', then the primitive
+    part of minus the remainder of the two elements before, while nonzero."""
+    chain = [p.primitive_part()]
+    if p.degree > 0:
+        chain.append(p.differentiate().primitive_part())
+        while chain[-1].degree > 0:
+            rem = chain[-2] % chain[-1]
+            if rem.is_zero:
+                break
+            chain.append((-rem).primitive_part())
+    return tuple(chain)
+
+
+# -- the deformed operator and its factorization pair on canonical RatFuns ----
+
+_ONE_MINUS_Z2 = Poly([1, 0, -1])
+_TWO_Z = Poly([0, 2])
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """Second-order operator determined by a nonzero deformation polynomial."""
+
+    tau: Poly
+
+    def __post_init__(self) -> None:
+        if self.tau.is_zero:
+            raise ValueError("deformation polynomial must be nonzero")
+
+
+def apply_T_hat(spec: OperatorSpec, p: Poly) -> RatFun:
+    """Apply the operator; the result is polynomial exactly on eigenfunctions.
+
+    The numerator is read through the module, so a test that patches
+    ``operators.t_hat_numerator`` perturbs this oracle as well."""
+    return RatFun.of(operators.t_hat_numerator(spec.tau, p), spec.tau)
+
+
+@dataclass(frozen=True)
+class FirstOrderOp:
+    """First-order factorization operator of kind A or B:
+
+    A(tau, phi):  f  ->  (phi*f' - phi'*f) / tau
+    B(phi, tau):  f  ->  ((1-z^2)*(tau*f' - tau'*f) - 2*z*tau*f) / phi
+    """
+
+    kind: Literal["A", "B"]
+    first: Poly
+    second: Poly
+
+    def __post_init__(self) -> None:
+        if self.first.is_zero or self.second.is_zero:
+            raise ValueError("factorization operator polynomials must be nonzero")
+
+
+def a_op(tau_val: Poly, phi: Poly) -> FirstOrderOp:
+    return FirstOrderOp("A", tau_val, phi)
+
+
+def b_op(phi: Poly, tau_val: Poly) -> FirstOrderOp:
+    return FirstOrderOp("B", phi, tau_val)
+
+
+def apply_first_order(op: FirstOrderOp, f: RatFun | Poly) -> RatFun:
+    if isinstance(f, Poly):
+        f = RatFun.from_poly(f)
+    u, v = f.num, f.den
+    wr_uv = u.differentiate() * v - u * v.differentiate()  # (u/v)' numerator over v^2
+    if op.kind == "A":
+        tau_val, phi = op.first, op.second
+        num = phi * wr_uv - phi.differentiate() * (u * v)
+        return RatFun.of(num, tau_val * v * v)
+    phi, tau_val = op.first, op.second
+    num = _ONE_MINUS_Z2 * (tau_val * wr_uv - tau_val.differentiate() * (u * v)) - (
+        _TWO_Z * tau_val * (u * v)
+    )
+    return RatFun.of(num, phi * v * v)
 
 
 LATTICE_T = (Fraction(1), Fraction(-1, 4), Fraction(7, 2))

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from xlegendre import (
     FamilyKey,
@@ -21,6 +22,8 @@ from xlegendre import (
     tau,
 )
 
+from helpers import rational_sturm_chain
+
 F = Fraction
 
 
@@ -33,6 +36,27 @@ def test_sturm_chain_shape():
     assert chain[0] == p.primitive_part()
     assert chain[1] == Poly([0, 1])  # derivative 2z, primitive
     assert chain[-1].degree == 0
+
+
+_sturm_rats = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+_sturm_polys = st.one_of(
+    st.lists(_sturm_rats, min_size=1, max_size=10).map(Poly),
+    # a squared factor gives a repeated root and a chain ending above degree 0
+    st.tuples(
+        st.lists(_sturm_rats, min_size=1, max_size=4).map(Poly),
+        st.lists(_sturm_rats, min_size=2, max_size=4).map(Poly),
+    ).map(lambda ab: ab[0] * ab[1] * ab[1]),
+).filter(bool)
+
+
+@given(_sturm_polys)
+@example(Poly([-2, 1, 0, -3]))  # negative leading coefficient
+@example(Poly([F(1, 4), -1, 1]) * Poly([3, 1]))  # double root at 1/2
+@example(Poly([F(-5, 3)]))  # constant: the chain is p alone
+@example(Poly([1, 0, 0, 0, 1]))  # z^4 + 1 by z^3 leaves 1: degree drops by 3
+@example(Poly([0, -1, 0, 0, 0, 2]))  # 2z^5 - z: degree drops from 4 to 1
+def test_sturm_chain_matches_rational_chain(p):
+    assert SturmChain.of(p).chain == rational_sturm_chain(p)
 
 
 def test_root_count_endpoints():

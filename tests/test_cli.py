@@ -268,3 +268,32 @@ def test_degrees_classical_empty_missing_set():
     res = _run("degrees", "--m", "", "--max-i", "4")
     assert res.exit_code == 0
     assert "missing degrees (0): []" in res.output
+
+
+# sha256 of the output bytes of a 4-level key's degree table, taken while the
+# table was still computed apart from the degree suite
+_DEGREES_DIGEST = "204b091d3be91a19088f3873f96bf64f64e513f6ddce98eb6cce2245fbb6e5f2"
+
+
+def test_degrees_bytes_pinned():
+    res = _run("degrees", "--m", "1,2,3,5", "--t", "1,1,1,1", "--max-i", "12")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _DEGREES_DIGEST
+
+
+def test_degree_verdict_shared_by_degrees_and_verify(monkeypatch):
+    # one wrong prediction must fail the table and the suite alike
+    original = cli.expected_degree
+    monkeypatch.setattr(
+        cli, "expected_degree", lambda key, i: original(key, i) + (i == 3)
+    )
+    args = ("--m", "1,2", "--t", "2,-8/5", "--max-i", "5")
+    table = _run("degrees", *args)
+    assert table.exit_code == 1
+    row = next(line for line in table.output.splitlines() if line.split()[:1] == ["3"])
+    predicted, actual = map(int, row.split()[1:])
+    assert predicted == actual + 1
+    suite = _run("verify", *args, "--suites", "degree")
+    assert suite.exit_code == 1
+    entries = json.loads(suite.output)["suites"]["degree"]["entries"]
+    assert [e["i"] for e in entries if not e["pass"]] == [3]

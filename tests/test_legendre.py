@@ -8,9 +8,9 @@ import pytest
 
 from xlegendre import Poly, classical_norm, legendre_poly, overlap_R
 from xlegendre.legendre import LegendreCache
-from xlegendre.operators import OperatorSpec, apply_T_hat, eigenvalue
+from xlegendre.operators import eigenvalue
 
-from helpers import rodrigues_legendre, sparse_poly
+from helpers import OperatorSpec, apply_T_hat, rodrigues_legendre, sparse_poly
 
 
 def test_recurrence_goldens():

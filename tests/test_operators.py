@@ -7,13 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from xlegendre import (
     FamilyKey,
-    OperatorSpec,
     Poly,
     RatFun,
-    a_op,
-    apply_T_hat,
-    apply_first_order,
-    b_op,
     eigenvalue,
     exceptional_poly,
     legendre_poly,
@@ -29,6 +24,11 @@ from xlegendre import operators, xfamily
 from xlegendre.operators import FactorizationReport, IdentityCheck, t_hat_numerator
 
 from helpers import (
+    OperatorSpec,
+    a_op,
+    apply_T_hat,
+    apply_first_order,
+    b_op,
     full_lattice,
     rodrigues_legendre,
     sparse_poly,

@@ -1,9 +1,10 @@
 """Ring arithmetic, calculus, division, gcd, and serialization of Poly."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from xlegendre import (
     InexactDivisionError,
@@ -14,6 +15,7 @@ from xlegendre import (
     poly_gcd,
     rat_str,
 )
+from xlegendre.polyring import _SCHOOLBOOK_CUTOFF
 
 from helpers import fraction_antiderivative, sparse_poly
 
@@ -98,6 +100,47 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _schoolbook(a, b):
+    """a * b from the integer convolution of the numerators, over the
+    product of the denominators."""
+    if a.is_zero or b.is_zero:
+        return Poly.zero()
+    an, bn = a._nums, b._nums
+    out = [0] * (len(an) + len(bn) - 1)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            out[i + j] += x * y
+    den = a._den * b._den
+    return Poly([Fraction(c, den) for c in out])
+
+
+# coefficients of 300 bits and more, and lengths whose product falls on
+# either side of the schoolbook/Kronecker cutoff
+_HUGE = 2**300
+_near_huge = st.integers(_HUGE - 3, _HUGE + 3)
+huge_rats = st.builds(
+    Fraction,
+    st.one_of(_near_huge.map(lambda v: -v), st.integers(-50, 50), _near_huge),
+    st.one_of(st.integers(1, 12), _near_huge),
+)
+_EDGE = math.isqrt(_SCHOOLBOOK_CUTOFF)  # EDGE^2 <= cutoff < (EDGE + 1)^2
+
+
+def _huge_poly(n: int, sign: int) -> Poly:
+    return Poly([Fraction(sign * (_HUGE + k) * (-1) ** k, 7 + k) for k in range(n)])
+
+
+@given(
+    st.lists(huge_rats, max_size=_EDGE + 8).map(Poly),
+    st.lists(huge_rats, max_size=_EDGE + 8).map(Poly),
+)
+@example(_huge_poly(_EDGE, 1), _huge_poly(_EDGE, -1))
+@example(_huge_poly(_EDGE + 1, 1), _huge_poly(_EDGE + 1, -1))
+@example(_huge_poly(2 * _EDGE, -1), _huge_poly(_EDGE // 2, -1))
+def test_mul_matches_schoolbook_oracle(a, b):
+    _same(a * b, _schoolbook(a, b))
+
+
 @given(polys, polys)
 def test_degree_of_product(a, b):
     if not a.is_zero and not b.is_zero:
@@ -164,7 +207,7 @@ def test_evaluate_is_ring_homomorphism(a, b, x):
 def _naive_dot(terms):
     acc = Poly.zero()
     for a, b in terms:
-        acc = acc + a * b
+        acc = acc + _schoolbook(a, b)
     return acc
 
 

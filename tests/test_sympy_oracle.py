@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from xlegendre import Poly, PolyMatrix, legendre_poly, poly_gcd
+from xlegendre import Poly, PolyMatrix, legendre_poly, poly_gcd, root_count
 
 from helpers import cofactor_det
 
@@ -37,6 +37,23 @@ def test_gcd_matches_sympy(common, power, a, b, swap):
         x, y = y, x
     expected = sympy.gcd(_to_sympy(x), _to_sympy(y))
     assert _to_sympy(poly_gcd(x, y)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _poly(4, min_size=1),
+    _poly(3),
+    st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(1)]),
+)
+@example(Poly([-1, 0, 1]), Poly([1]), Fraction(1))  # roots at both ends
+@example(Poly([Fraction(-1, 4), 0, 1]), Poly([3, 1]), Fraction(1, 2))
+def test_root_count_matches_sympy(a, b, r):
+    # a squared factor and a root at r in [-1, 1] make repeated and interior roots
+    p = a * b * b * Poly([-r, 1])
+    assume(not p.is_zero)
+    roots = _to_sympy(p).sqf_part().real_roots()
+    expected = sum(1 for x in roots if bool(x >= -1) and bool(x <= 1))
+    assert root_count(p, -1, 1) == expected
 
 
 def _matrices(max_n: int):
