@@ -179,7 +179,11 @@ def verify_factorization(
     The report names the first failing probe of each identity.  Each
     identity's difference is a second-order operator with polynomial
     coefficients, so evaluating it on 1, z and z^2 decides every probe.
+    A negative ``probe_degree`` raises ValueError: it leaves no probe, and
+    every identity would pass unchecked.
     """
+    if probe_degree is not None and probe_degree < 0:
+        raise ValueError("probe degree must be non-negative")
     base, tau0, tau1, phi = _step_context(key, m_step)
     lam = eigenvalue(m_step)
     if probe_degree is None:

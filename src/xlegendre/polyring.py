@@ -25,9 +25,11 @@ polynomials, elimination and chain steps, adjugate rows and overlap
 numerators (``xfamily``), and the operator numerator and eigen residual
 (``operators``) are one such sum each.
 
-``remainder_sequence(a, b)`` is the one integer primitive remainder sequence:
-``poly_gcd`` reads its last element and the Sturm chain (``admissibility``)
-is the whole sequence of p and p'.
+One integer pseudo-division, ``_pdivmod``, is behind ``divmod``, exact
+division and the remainder sequence.  ``remainder_sequence(a, b)`` is the
+one integer primitive remainder sequence: ``poly_gcd`` reads its last
+element and the Sturm chain (``admissibility``) is the whole sequence of p
+and p'.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def parse_rat(text: str) -> Rat:
     if not _RAT_PATTERN.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+def _rat(value: RatLike) -> Rat:
+    """A RatLike as an exact rational; strings follow ``parse_rat``."""
+    return parse_rat(value) if isinstance(value, str) else Fraction(value)
 
 
 def rat_str(value: Rat) -> str:
@@ -139,76 +146,52 @@ def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Long division on the shared-denominator representation.
+# Integer pseudo-division.
 #
-# ``_divmod_nums`` divides an integer-coefficient polynomial by another and
-# tracks the remainder as (integer list, denominator): the running denominator
-# only grows by the reduced denominator of each quotient coefficient, so
-# exact divisions (the common case in the deformation recursion, where the
-# quotient is again a small-denominator polynomial) stay in small integers.
+# ``_pdivmod`` is the one long division: ``divmod``, exact division and the
+# remainder sequence all read it.  It stays in integers by scaling the
+# dividend, at each nonzero top coefficient, by the least factor that makes
+# that coefficient divisible by lc(g): an exact quotient with small
+# denominators (the common case in the deformation recursion) then keeps a
+# small multiplier.  A constant divisor cancels every coefficient (r = 0) and
+# a dividend shorter than the divisor takes no step (q = 0, r = f, s = 1).
 # ---------------------------------------------------------------------------
 
 
-def _divmod_nums(
-    an: Sequence[int], bn: Sequence[int]
-) -> tuple[list[int], int, list[int], int]:
-    """Divide integer-coefficient polynomials over Q.
-
-    Returns (quotient nums, quotient den, remainder nums, remainder den);
-    both parts are tracked as integer lists over a shared denominator.
-    """
-    rn = list(an)
-    rd = 1
-    db = len(bn) - 1
-    bl = bn[-1]
-    if len(rn) <= db:
-        return [], 1, rn, 1
-    qn = [0] * (len(rn) - db)
-    qd = 1
-    for k in range(len(rn) - 1, db - 1, -1):
-        top = rn[k]
+def _pdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of f by a nonzero g: (q, r, s) with
+    s*f == q*g + r, s > 0 and r trimmed to fewer coefficients than g."""
+    dg = len(g) - 1
+    lg = g[-1]
+    alg = abs(lg)
+    r = list(f)
+    q = [0] * (len(r) - dg)
+    s = 1
+    for k in range(len(r) - 1, dg - 1, -1):
+        top = r[k]
         if top:
-            den = rd * bl
-            g = math.gcd(top, den)
-            cn, cd = top // g, den // g
-            if cd < 0:
-                cn, cd = -cn, -cd
-            if cd != 1:
-                gg = math.gcd(qd, cd)
-                mult = cd // gg
-                if mult != 1:
-                    for idx in range(len(qn)):
-                        if qn[idx]:
-                            qn[idx] *= mult
-                    qd *= mult
-                qn[k - db] = cn * (qd // cd)
+            off = k - dg
+            # |lc(g)| / gcd is positive, so s stays positive whatever the sign
+            # of lc(g): r is a positive multiple of the remainder over Q, and
+            # the Sturm chain's sign counts read it as such
+            d = math.gcd(top, lg)
+            m = alg // d
+            if m != 1:
                 for i in range(k):
-                    rn[i] *= cd
-            else:
-                qn[k - db] = cn * qd
-            f = cn * rd
-            off = k - db
-            for i in range(db):
-                bi = bn[i]
-                if bi:
-                    rn[off + i] -= f * bi
-            rn[k] = 0
-            if cd != 1:
-                rd *= cd
-                if rd.bit_length() > 256:
-                    g = rd
-                    for v in rn:
-                        if v:
-                            g = math.gcd(g, v)
-                            if g == 1:
-                                break
-                    if g > 1:
-                        rd //= g
-                        rn = [v // g for v in rn]
-    del rn[db:]
-    while rn and rn[-1] == 0:
-        rn.pop()
-    return qn, qd, rn, rd
+                    r[i] *= m
+                for j in range(off + 1, len(q)):
+                    q[j] *= m
+                s *= m
+            c = top // d if lg > 0 else -(top // d)
+            q[off] = c
+            for i in range(dg):
+                gi = g[i]
+                if gi:
+                    r[off + i] -= c * gi
+    del r[dg:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, s
 
 
 _F0 = Fraction(0)
@@ -220,31 +203,11 @@ class Poly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[RatLike] = ()):
-        fracs = []
-        for c in coefficients:
-            if isinstance(c, str):
-                c = parse_rat(c)
-            else:
-                c = Fraction(c)
-            fracs.append(c)
-        den = 1
-        for c in fracs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        nums = [int(c.numerator * (den // c.denominator)) for c in fracs]
-        while nums and nums[-1] == 0:
-            nums.pop()
-        self._nums = tuple(nums)
-        self._den = den
-        self._normalize_content()
-
-    def _normalize_content(self) -> None:
-        if not self._nums:
-            self._den = 1
-            return
-        g = math.gcd(_content(self._nums), self._den)
-        if g > 1:
-            self._nums = tuple(v // g for v in self._nums)
-            self._den //= g
+        fracs = [_rat(c) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in fracs))
+        p = Poly._raw([c.numerator * (den // c.denominator) for c in fracs], den)
+        self._nums = p._nums
+        self._den = p._den
 
     @classmethod
     def _raw(cls, nums: list[int], den: int) -> "Poly":
@@ -283,12 +246,12 @@ class Poly:
 
     @classmethod
     def constant(cls, value: RatLike) -> "Poly":
-        c = parse_rat(value) if isinstance(value, str) else Fraction(value)
+        c = _rat(value)
         return cls._raw([c.numerator], c.denominator)
 
     @classmethod
     def monomial(cls, power: int, coefficient: RatLike = 1) -> "Poly":
-        c = parse_rat(coefficient) if isinstance(coefficient, str) else Fraction(coefficient)
+        c = _rat(coefficient)
         return cls._raw([0] * power + [c.numerator], c.denominator)
 
     # -- basic queries -------------------------------------------------------
@@ -439,14 +402,9 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(other._nums) == 1:
-            return self.scale(Fraction(other._den, other._nums[0])), _ZERO
-        if len(self._nums) < len(other._nums):
-            return _ZERO, self
-        qn, qd, rn, rd = _divmod_nums(self._nums, other._nums)
-        q = Poly._raw([v * other._den for v in qn], qd * self._den)
-        r = Poly._raw(rn, rd * self._den)
-        return q, r
+        q, r, s = _pdivmod(self._nums, other._nums)
+        den = s * self._den
+        return Poly._raw([v * other._den for v in q], den), Poly._raw(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -464,16 +422,10 @@ class Poly:
     def exact_div_or_none(self, other: "Poly") -> "Poly | None":
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return _ZERO
-        if len(other._nums) == 1:
-            return self.scale(Fraction(other._den, other._nums[0]))
-        if len(self._nums) < len(other._nums):
+        q, r, s = _pdivmod(self._nums, other._nums)
+        if r:
             return None
-        qn, qd, rn, _ = _divmod_nums(self._nums, other._nums)
-        if rn:
-            return None
-        return Poly._raw([v * other._den for v in qn], qd * self._den)
+        return Poly._raw([v * other._den for v in q], s * self._den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -611,43 +563,20 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _prem_int(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Integer pseudo-remainder of f by g: lc(g)**e times the remainder of
-    f by g over Q, where e >= 0 counts the nonzero leading terms cancelled."""
-    dg = len(g) - 1
-    lg = g[-1]
-    r = list(f)
-    for k in range(len(r) - 1, dg - 1, -1):
-        top = r[k]
-        if top:
-            for i in range(k):
-                r[i] *= lg
-            off = k - dg
-            for i in range(dg):
-                gi = g[i]
-                if gi:
-                    r[off + i] -= top * gi
-            r[k] = 0
-    del r[dg:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
 def remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
     """a, b, then the negated pseudo-remainder of the two elements before,
     up to the last nonzero element; a must be nonzero.
 
     Every element is its primitive integer part with its sign kept.  Each
-    pseudo-remainder is taken by a divisor with positive leading
-    coefficient, so it is a positive multiple of the remainder over Q.
+    pseudo-remainder is a positive multiple of the remainder over Q (the
+    multiplier of ``_pdivmod`` is positive).
     """
     seq = [a.primitive_part()]
     r, sign = b._nums, 1
     while r:
         c = sign * _content(r)
         g = [v // c for v in r]
-        r = _prem_int(seq[-1]._nums, g if g[-1] > 0 else [-v for v in g])
+        r = _pdivmod(seq[-1]._nums, g)[1]
         seq.append(Poly._raw(g, 1))
         sign = -1
     return tuple(seq)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import legendre_poly, overlap_R
-from .polyring import Poly, RatLike, parse_rat, poly_dot, rat_str
+from .polyring import Poly, RatLike, _rat, poly_dot, rat_str
 from .ratfun import RatFun
 
 __all__ = [
@@ -60,12 +60,6 @@ __all__ = [
 ]
 
 
-def _as_rat(value: RatLike) -> Fraction:
-    if isinstance(value, str):
-        return parse_rat(value)
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class FamilyKey:
     """Deformation levels ``m`` paired with exact rational parameters ``t``."""
@@ -75,7 +69,7 @@ class FamilyKey:
 
     def __post_init__(self) -> None:
         m = tuple(int(v) for v in self.m)
-        t = tuple(_as_rat(v) for v in self.t)
+        t = tuple(_rat(v) for v in self.t)
         if len(m) != len(t):
             raise ValueError("level tuple and parameter tuple differ in length")
         if any(v < 0 for v in m):
@@ -85,7 +79,7 @@ class FamilyKey:
 
     @classmethod
     def of(cls, m: Sequence[int] = (), t: Sequence[RatLike] = ()) -> "FamilyKey":
-        return cls(tuple(m), tuple(_as_rat(v) for v in t))
+        return cls(tuple(m), tuple(t))
 
     @classmethod
     def classical(cls) -> "FamilyKey":
@@ -100,7 +94,7 @@ class FamilyKey:
         return all(a < b for a, b in zip(self.m, self.m[1:])) and all(self.t)
 
     def extended(self, level: int, parameter: RatLike = 0) -> "FamilyKey":
-        return FamilyKey(self.m + (level,), self.t + (_as_rat(parameter),))
+        return FamilyKey(self.m + (level,), self.t + (parameter,))
 
     def without(self, position: int) -> "FamilyKey":
         m = self.m[:position] + self.m[position + 1 :]

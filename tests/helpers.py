@@ -58,6 +58,20 @@ def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     return Poly([1, 0, -1]) * inner - Poly([0, 2]) * dp * tau_val
 
 
+def fraction_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by a nonzero b over Q, by schoolbook long
+    division one Fraction coefficient at a time."""
+    r, d = list(a.coeffs), b.coeffs
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * (len(r) - len(d) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(d) - 1] / d[-1]
+        for i, di in enumerate(d):
+            r[k + i] -= q[k] * di
+    return Poly(q), Poly(r[: len(d) - 1])
+
+
 def rational_sturm_chain(p: Poly) -> tuple[Poly, ...]:
     """Sturm chain of p with remainders over Q: p, p', then the primitive
     part of minus the remainder of the two elements before, while nonzero."""
@@ -65,7 +79,7 @@ def rational_sturm_chain(p: Poly) -> tuple[Poly, ...]:
     if p.degree > 0:
         chain.append(p.differentiate().primitive_part())
         while chain[-1].degree > 0:
-            rem = chain[-2] % chain[-1]
+            rem = fraction_divmod(chain[-2], chain[-1])[1]
             if rem.is_zero:
                 break
             chain.append((-rem).primitive_part())

@@ -153,6 +153,15 @@ def test_factorization_constant_probe_only():
     assert report.passed  # degenerate probe set: constants only
 
 
+def test_factorization_rejects_negative_probe_degree(monkeypatch):
+    # no probe would run, so even a wrong numerator would pass every identity
+    _perturb_t_hat(0)(monkeypatch)
+    key = FamilyKey((1,), (F(1),))
+    assert not verify_factorization(key, 1).passed
+    with pytest.raises(ValueError):
+        verify_factorization(key, 1, probe_degree=-1)
+
+
 def test_factorization_second_step_of_two():
     report = verify_factorization(FamilyKey((1, 4), (F(1), F(-1, 4))), 4)
     assert report.passed

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from xlegendre import (
     InexactDivisionError,
@@ -17,7 +17,7 @@ from xlegendre import (
 )
 from xlegendre.polyring import _SCHOOLBOOK_CUTOFF
 
-from helpers import fraction_antiderivative, sparse_poly
+from helpers import fraction_antiderivative, fraction_divmod, sparse_poly
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rats, min_size=0, max_size=6).map(Poly)
@@ -316,6 +316,21 @@ def test_divmod_invariant(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
+
+
+@given(any_polys, any_polys)
+@example(Poly([1, 2, 3, 4]), Poly([5, 0, -2]))  # negative leading coefficient
+@example(Poly([-5, 0, 3]) * Poly([1, 7]), Poly([-5, 0, 3]))
+@example(Poly([5, 0, 7, 1]), Poly([1, 2**200 + 1]))  # large leading coefficient
+@example(Poly([Fraction(1, 2), 3, -4]), Poly([1]))  # constant divisors
+@example(Poly([Fraction(1, 2), 3, -4]), Poly([Fraction(-3, 7)]))
+@example(Poly([1, 2]), Poly([1, 0, 1]))  # dividend shorter than the divisor
+@example(Poly.monomial(200), Poly([1, 3]))  # quotient denominator 3^200, 317 bits
+def test_division_matches_fraction_long_division(a, b):
+    assume(not b.is_zero)
+    q, r = fraction_divmod(a, b)
+    assert divmod(a, b) == (q, r)
+    assert a.exact_div_or_none(b) == (q if r.is_zero else None)
 
 
 @given(polys, polys)

@@ -40,6 +40,16 @@ def test_gcd_matches_sympy(common, power, a, b, swap):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_poly(12), _poly(6, min_size=1))
+@example(Poly([1, 2, 3, 4]), Poly([5, 0, -2]))
+@example(Poly.monomial(200), Poly([1, 3]))
+def test_divmod_matches_sympy(a, b):
+    assume(not b.is_zero)
+    expected = sympy.div(_to_sympy(a), _to_sympy(b))
+    assert tuple(map(_to_sympy, divmod(a, b))) == expected
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     _poly(4, min_size=1),
     _poly(3),
