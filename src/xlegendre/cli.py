@@ -18,12 +18,13 @@ exit 2 before any family is built.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import decimal
-import io
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 import click
 
@@ -109,12 +110,19 @@ def _parse_indices(spec_str: str) -> list[int]:
         ) from None
 
 
-def _write_output(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The --out file, opened for writing, or standard output."""
     if out is None:
-        click.echo(text, nl=False)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _decimal_str(value: Fraction, precision: int) -> str:
@@ -146,10 +154,10 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> N
     key = canonicalize(original)
     indices = _parse_indices(i_spec)
     tau_val = tau(key)
-    polys = [(i, exceptional_poly(key, i)) for i in indices]
     admissible = admissibility_formula(key)
 
     if fmt == "json":
+        polys = [(i, exceptional_poly(key, i)) for i in indices]
         payload = {
             "m": list(key.m),
             "t": [rat_str(v) for v in key.t],
@@ -165,13 +173,14 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> N
             payload["original"] = original.to_json_obj()
         _write_output(json.dumps(payload, indent=2) + "\n", out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["label", "degree", "coeffs..."])
-        writer.writerow(["tau", int(tau_val.degree), *tau_val.to_json()])
-        for i, p in polys:
-            writer.writerow([f"P[{i}]", int(p.degree), *p.to_json()])
-        _write_output(buf.getvalue(), out)
+        # one row at a time: at a high index the text outweighs the polynomials
+        with _output(out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", "degree", "coeffs..."])
+            writer.writerow(["tau", int(tau_val.degree), *tau_val.to_json()])
+            for i in indices:
+                p = exceptional_poly(key, i)
+                writer.writerow([f"P[{i}]", int(p.degree), *p.to_json()])
 
 
 def _suite_eigen(key: FamilyKey, max_i: int) -> dict:
@@ -343,14 +352,13 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
         sys.exit(EXIT_INADMISSIBLE)
     tau_val = tau(key)
     step = Fraction(2, samples - 1)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["z", "W"])
-    for k in range(samples):
-        z = -1 + step * k
-        w = 1 / tau_val.evaluate(z) ** 2
-        writer.writerow([_decimal_str(Fraction(z), precision), _decimal_str(w, precision)])
-    _write_output(buf.getvalue(), out)
+    with _output(out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z", "W"])
+        for k in range(samples):
+            z = -1 + step * k
+            w = 1 / tau_val.evaluate(z) ** 2
+            writer.writerow([_decimal_str(v, precision) for v in (z, w)])
 
 
 @main.command("degrees")

@@ -15,26 +15,29 @@ deformed tau_m the operators are
     A(tau, phi):  f  ->  (phi*f' - phi'*f) / tau          (= Wr(phi, f)/tau)
     B(phi, tau):  f  ->  ((1-z^2)*(tau*f' - tau'*f) - 2*z*tau*f) / phi
 
-Every composite has a known denominator.  With W = Wr(phi, f) and
-V_tau = (1-z^2)*Wr(tau, f) - 2*z*tau*f,
+Every second-order operator here has a known denominator, and over it a
+coefficient triple (C2, C1, C0) of polynomials: it sends f to
+(C2*f'' + C1*f' + C0*f) / denominator.  With L = (1-z^2)*tau' + 2*z*tau,
+P = tau_a*tau_b and K = (1-z^2)*P' + 2*z*P:
 
-    B(phi, tau_b) A(tau_a, phi) f  =  BA_num / (phi * tau_a^2),
-        BA_num = (1-z^2)*[tau_b*(W'*tau_a - W*tau_a') - tau_b'*W*tau_a]
-                 - 2*z*tau_b*W*tau_a
-    A(tau, phi) B(phi, tau) f      =  (V_tau'*phi - 2*phi'*V_tau) / (phi * tau)
+    T(tau), over tau:
+        ((1-z^2)*tau,  -2*((1-z^2)*tau' + z*tau),  (1-z^2)*tau'')
+    B(phi, tau_b) A(tau_a, phi), over phi * tau_a^2:
+        ((1-z^2)*P*phi,  -K*phi,  K*phi' - (1-z^2)*P*phi'')
+    A(tau, phi) B(phi, tau), over phi * tau:
+        ((1-z^2)*tau*phi,  -2*tau*(2*z*phi + (1-z^2)*phi'),  2*phi'*L - phi*L')
 
-so each identity certifying a deformation step is checked as an exact
-polynomial identity between numerators, after multiplying both sides by the
-common denominator.  No rational function is reduced on the way.  The tests
-apply the same operators to canonical rational functions (``tests/helpers.py``)
-as an independent oracle for the numerator identities.
+An operator is applied as one three-term sum of products; an identity is
+cleared of its common denominator and checked as a zero triple, with no
+rational function reduced.  The tests compose the same operators on
+canonical rational functions and as Wronskians (``tests/helpers.py``), as
+independent oracles for the triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .polyring import Poly, poly_dot
 from .xfamily import FamilyKey, exceptional_poly, family, tau
@@ -53,6 +56,9 @@ __all__ = [
 _ONE_MINUS_Z2 = Poly([1, 0, -1])
 _TWO_Z = Poly([0, 2])
 
+# (C2, C1, C0) of the operator f -> C2*f'' + C1*f' + C0*f
+_Triple = tuple[Poly, Poly, Poly]
+
 
 def eigenvalue(i: int) -> int:
     """Eigenvalue attached to index i: -i(i+1)."""
@@ -64,9 +70,15 @@ def wronskian(a: Poly, b: Poly) -> Poly:
     return a * b.differentiate() - a.differentiate() * b
 
 
+def _apply(triple: _Triple, f: Poly) -> Poly:
+    c2, c1, c0 = triple
+    df = f.differentiate()
+    return poly_dot(((c2, df.differentiate()), (c1, df), (c0, f)))
+
+
 @lru_cache(maxsize=2)  # a family's eigen checks, or a step's two taus, share it
-def _coefficients(tau_val: Poly) -> tuple[Poly, Poly, Poly]:
-    """A, B, C with tau * (operator p) = A p'' + B p' + C p."""
+def _coefficients(tau_val: Poly) -> _Triple:
+    """The triple of tau times the operator."""
     dt = tau_val.differentiate()
     b = poly_dot(((_ONE_MINUS_Z2, dt), (Poly.x(), tau_val))).scale(-2)
     return _ONE_MINUS_Z2 * tau_val, b, _ONE_MINUS_Z2 * dt.differentiate()
@@ -74,19 +86,14 @@ def _coefficients(tau_val: Poly) -> tuple[Poly, Poly, Poly]:
 
 def t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     """Numerator of the operator applied to p, over denominator tau."""
-    a, b, c = _coefficients(tau_val)
-    dp = p.differentiate()
-    return poly_dot(((a, dp.differentiate()), (b, dp), (c, p)))
+    return _apply(_coefficients(tau_val), p)
 
 
 def verify_eigen(key: FamilyKey, i: int) -> bool:
     """Exact check that the i-th family polynomial has eigenvalue -i(i+1)."""
     fam = family(key)
-    p = fam.polynomial(i)
     a, b, c = _coefficients(fam.tau)
-    c_lam = c - fam.tau.scale(eigenvalue(i))
-    dp = p.differentiate()
-    return poly_dot(((a, dp.differentiate()), (b, dp), (c_lam, p))).is_zero
+    return _apply((a, b, c - fam.tau.scale(eigenvalue(i))), fam.polynomial(i)).is_zero
 
 
 @dataclass(frozen=True)
@@ -143,80 +150,74 @@ def _step_context(key: FamilyKey, m_step: int):
     return base, tau0, tau1, phi
 
 
-def _ba_numerator(tau_a: Poly, tau_b: Poly, phi: Poly, f: Poly) -> Poly:
-    """B(phi, tau_b) A(tau_a, phi) f times phi * tau_a^2."""
-    w = wronskian(phi, f)
-    w_tau = w * tau_a
-    inner = tau_b * (w.differentiate() * tau_a - w * tau_a.differentiate())
-    inner = inner - tau_b.differentiate() * w_tau
-    return _ONE_MINUS_Z2 * inner - _TWO_Z * tau_b * w_tau
+def _ba(tau_a: Poly, tau_b: Poly, phi: Poly) -> _Triple:
+    """B(phi, tau_b) A(tau_a, phi) times phi * tau_a^2."""
+    p = tau_a * tau_b
+    w = _ONE_MINUS_Z2 * p
+    k = poly_dot(((_ONE_MINUS_Z2, p.differentiate()), (_TWO_Z, p)))
+    dphi = phi.differentiate()
+    return w * phi, -(k * phi), poly_dot(((k, dphi), (-w, dphi.differentiate())))
 
 
-def _ab_numerator(tau_val: Poly, phi: Poly, f: Poly) -> Poly:
-    """A(tau, phi) B(phi, tau) f times phi * tau."""
-    v = _ONE_MINUS_Z2 * wronskian(tau_val, f) - _TWO_Z * tau_val * f
-    return v.differentiate() * phi - (phi.differentiate() * v).scale(2)
+def _ab(tau_val: Poly, phi: Poly) -> _Triple:
+    """A(tau, phi) B(phi, tau) times phi * tau."""
+    dphi = phi.differentiate()
+    l = poly_dot(((_ONE_MINUS_Z2, tau_val.differentiate()), (_TWO_Z, tau_val)))
+    c1 = poly_dot(((_TWO_Z, phi), (_ONE_MINUS_Z2, dphi))) * tau_val.scale(-2)
+    c0 = poly_dot(((dphi.scale(2), l), (-phi, l.differentiate())))
+    return _ONE_MINUS_Z2 * tau_val * phi, c1, c0
 
 
-def verify_factorization(
-    key: FamilyKey, m_step: int, probe_degree: int | None = None
-) -> FactorizationReport:
-    """Probe the three operator identities certifying one deformation step.
+def _factor_difference(tau_val: Poly, phi: Poly, lam: int) -> _Triple:
+    """phi*tau * (T - lambda) minus B(phi, tau) A(tau, phi), over phi * tau^2."""
+    a, b, c = _coefficients(tau_val)
+    ba2, ba1, ba0 = _ba(tau_val, tau_val, phi)
+    pt = phi * tau_val
+    return pt * a - ba2, pt * b - ba1, pt * (c - tau_val.scale(lam)) - ba0
 
-    The step is the one that adds level ``m_step`` to the family obtained by
-    removing it from ``key``; tau0, tau1 are the deformation polynomials
-    before and after it and lambda_m = -m(m+1).  Each identity is cleared of
-    its denominator and checked as an exact polynomial identity on the
-    probes f = 1, z, ..., z^D:
 
-    * ``factor_base`` / ``factor_deformed`` (tau = tau0 / tau1), i.e.
-      T = B A + lambda_m over phi * tau^2:
-      phi*tau * t_hat_numerator(tau, f) == BA_num(tau, tau, f) + lambda_m*f*phi*tau^2;
-    * ``middle_product``, i.e. A B agrees for both taus, over phi*tau0*tau1:
-      tau1 * AB_num(tau0, f) == tau0 * AB_num(tau1, f).
+def _first_failing_probe(difference: _Triple) -> Poly | None:
+    # N f = C2*f'' + C1*f' + C0*f gives N(1) = C0, N(z) = z*C0 + C1 and
+    # N(z^2) = z^2*C0 + 2*z*C1 + 2*C2, so the probes 1, z, z^2 fail first at
+    # z^k for the first nonzero C_k, and every probe passes when none is.
+    k = next((k for k, c in enumerate(reversed(difference)) if not c.is_zero), None)
+    return None if k is None else Poly.monomial(k)
 
-    BA_num and AB_num are the numerators given in the module docstring.
-    The report names the first failing probe of each identity.  Each
-    identity's difference is a second-order operator with polynomial
-    coefficients, so evaluating it on 1, z and z^2 decides every probe.
-    A negative ``probe_degree`` raises ValueError: it leaves no probe, and
-    every identity would pass unchecked.
+
+def verify_factorization(key: FamilyKey, m_step: int) -> FactorizationReport:
+    """Check the three operator identities certifying one deformation step.
+
+    The step adds level ``m_step`` to the family obtained by removing it from
+    ``key``; tau0, tau1 are the deformation polynomials before and after it
+    and lambda_m = -m(m+1).  Cleared of its denominator, each identity's
+    difference is a triple (module docstring), zero exactly when it holds:
+
+    * ``factor_base`` / ``factor_deformed`` (tau = tau0 / tau1), T = B A +
+      lambda_m over phi*tau^2: phi*tau * (A, B, C - lambda_m*tau) - BA(tau, tau),
+      with (A, B, C) the triple of T(tau);
+    * ``middle_product``, A B agrees for both taus, over phi*tau0*tau1:
+      tau1 * AB(tau0) - tau0 * AB(tau1).
+
+    A failing identity reports the probe z^k (k <= 2) of its first nonzero
+    coefficient C_k, the first monomial its difference does not annihilate.
+    The report's ``probe_degree``, 2*max(deg tau0, deg tau1, deg phi, 2) + 2,
+    names the probes 1, z, ..., z^D of the report format; a passing identity
+    holds on all of them.
     """
-    if probe_degree is not None and probe_degree < 0:
-        raise ValueError("probe degree must be non-negative")
     base, tau0, tau1, phi = _step_context(key, m_step)
     lam = eigenvalue(m_step)
-    if probe_degree is None:
-        degs = [int(q.degree) for q in (tau0, tau1, phi) if not q.is_zero]
-        probe_degree = 2 * max(degs + [2]) + 2
-
-    def factor_difference(tau_val: Poly) -> Callable[[Poly], Poly]:
-        phi_tau = phi * tau_val
-        lam_phi_tau_sq = (phi_tau * tau_val).scale(lam)
-        return lambda f: (
-            phi_tau * t_hat_numerator(tau_val, f)
-            - _ba_numerator(tau_val, tau_val, phi, f)
-            - lam_phi_tau_sq * f
-        )
-
-    def middle_difference(f: Poly) -> Poly:
-        return tau1 * _ab_numerator(tau0, phi, f) - tau0 * _ab_numerator(tau1, phi, f)
-
+    probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
+    ab0, ab1 = _ab(tau0, phi), _ab(tau1, phi)
     differences = {
-        "factor_base": factor_difference(tau0),
-        "factor_deformed": factor_difference(tau1),
-        "middle_product": middle_difference,
+        "factor_base": _factor_difference(tau0, phi, lam),
+        "factor_deformed": _factor_difference(tau1, phi, lam),
+        "middle_product": tuple(
+            poly_dot(((tau1, x), (-tau0, y))) for x, y in zip(ab0, ab1)
+        ),
     }
-    # Each difference is linear and of second order with polynomial
-    # coefficients, N f = C2*f'' + C1*f' + C0*f.  N(1) = C0, N(z) = z*C0 + C1
-    # and N(z^2) = z^2*C0 + 2*z*C1 + 2*C2 all vanish only if C0 = C1 = C2 = 0,
-    # so a failing probe set always fails first at 1, z or z^2.
-    checks = []
-    for name, difference in differences.items():
-        probes = (Poly.monomial(k) for k in range(min(probe_degree, 2) + 1))
-        probe = next((p for p in probes if not difference(p).is_zero), None)
-        checks.append(IdentityCheck(name, probe is None, probe))
-    return FactorizationReport(key, m_step, probe_degree, tuple(checks))
+    probes = {name: _first_failing_probe(d) for name, d in differences.items()}
+    checks = tuple(IdentityCheck(name, p is None, p) for name, p in probes.items())
+    return FactorizationReport(key, m_step, probe_degree, checks)
 
 
 def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
@@ -230,7 +231,7 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
     (The sign follows from d/dz[(1-z^2)*Wr(phi, pi_i)/tau^2] being
     (lambda_i - lambda_m)*pi_i*phi/tau^2; both sides vanish at z = -1.)
     Both sides are multiplied by phi * tau^2 and compared as polynomials:
-    BA_num(tau, tau_m, pi_i) == (lambda_i - lambda_m) * pi_{m;i} * phi * tau^2.
+    BA(tau, tau_m) applied to pi_i == (lambda_i - lambda_m) * pi_{m;i} * phi * tau^2.
     """
     if i == m_step:
         raise ValueError("intertwining check requires i distinct from the step level")
@@ -238,5 +239,5 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
     pi_i = exceptional_poly(base, i)
     pi_mi = exceptional_poly(key, i)
     factor = eigenvalue(i) - eigenvalue(m_step)
-    lhs = _ba_numerator(tau0, tau1, phi, pi_i)
+    lhs = _apply(_ba(tau0, tau1, phi), pi_i)
     return lhs == (pi_mi * phi * tau0 * tau0).scale(factor)

@@ -360,9 +360,7 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
         tau_next = tau_prev + cols[(level, level)].scale(t)
         neg_tp = polys[level].scale(-t)
         polys = {
-            i: poly_dot(((tau_next, p), (cols[_pkey(i, level)], neg_tp))).exact_div(
-                tau_prev
-            )
+            i: poly_dot(((tau_next, p), (cols[_pkey(i, level)], neg_tp)))
             for i, p in polys.items()
         }
         nxt: dict[_PAIR, Poly] = {}
@@ -372,7 +370,10 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
                 pair = _pkey(x, mk)
                 if pair not in nxt:
                     terms = ((cols[pair], tau_next), (cols[_pkey(x, level)], neg_tn))
-                    nxt[pair] = poly_dot(terms).exact_div(tau_prev)
+                    nxt[pair] = poly_dot(terms)
+        if j:  # tau_0 = 1 divides nothing
+            polys = {i: p.exact_div(tau_prev) for i, p in polys.items()}
+            nxt = {pair: num.exact_div(tau_prev) for pair, num in nxt.items()}
         cols = nxt
         tau_prev = tau_next
     return tau_prev, polys
@@ -461,7 +462,6 @@ class XFamily:
         "_xpolys",
         "_rows",
         "_overlaps",
-        "_recursive",
         "_lock",
     )
 
@@ -477,7 +477,6 @@ class XFamily:
         self._xpolys: dict[int, Poly] = {}
         self._rows: dict[int, tuple[Poly, ...]] = {}
         self._overlaps: dict[_PAIR, RatFun] = {}
-        self._recursive: RecursiveFamily | None = None
         self._lock = threading.Lock()
 
     def polynomial(self, i: int) -> Poly:
@@ -489,16 +488,7 @@ class XFamily:
             return self._xpolys.setdefault(i, value)
 
     def recursive(self, max_i: int) -> RecursiveFamily:
-        rec = self._recursive
-        if rec is None or rec.max_index < max_i:
-            rec = recursive_family(self.key, max_i)
-            with self._lock:
-                cur = self._recursive
-                if cur is None or cur.max_index < max_i:
-                    self._recursive = rec
-                else:
-                    rec = cur
-        return rec
+        return recursive_family(self.key, max_i)
 
     def _row(self, i: int) -> tuple[Poly, ...]:
         # -a_i[l] = sum_k -t_k R(i, m_k) adj[k, l], shared by every pair (i, j)

@@ -58,6 +58,24 @@ def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     return Poly([1, 0, -1]) * inner - Poly([0, 2]) * dp * tau_val
 
 
+def wronskian_ba_numerator(tau_a: Poly, tau_b: Poly, phi: Poly, f: Poly) -> Poly:
+    """B(phi, tau_b) A(tau_a, phi) f times phi * tau_a^2, composed through
+    the Wronskian W = Wr(phi, f):
+    (1-z^2)*[tau_b*(W'*tau_a - W*tau_a') - tau_b'*W*tau_a] - 2*z*tau_b*W*tau_a."""
+    w = operators.wronskian(phi, f)
+    w_tau = w * tau_a
+    inner = tau_b * (w.differentiate() * tau_a - w * tau_a.differentiate())
+    inner = inner - tau_b.differentiate() * w_tau
+    return Poly([1, 0, -1]) * inner - Poly([0, 2]) * tau_b * w_tau
+
+
+def wronskian_ab_numerator(tau_val: Poly, phi: Poly, f: Poly) -> Poly:
+    """A(tau, phi) B(phi, tau) f times phi * tau, composed through
+    V = (1-z^2)*Wr(tau, f) - 2*z*tau*f:  V'*phi - 2*phi'*V."""
+    v = Poly([1, 0, -1]) * operators.wronskian(tau_val, f) - Poly([0, 2]) * tau_val * f
+    return v.differentiate() * phi - (phi.differentiate() * v).scale(2)
+
+
 def fraction_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a by a nonzero b over Q, by schoolbook long
     division one Fraction coefficient at a time."""
@@ -107,7 +125,7 @@ def apply_T_hat(spec: OperatorSpec, p: Poly) -> RatFun:
     """Apply the operator; the result is polynomial exactly on eigenfunctions.
 
     The numerator is read through the module, so a test that patches
-    ``operators.t_hat_numerator`` perturbs this oracle as well."""
+    ``operators._coefficients`` perturbs this oracle as well."""
     return RatFun.of(operators.t_hat_numerator(spec.tau, p), spec.tau)
 
 

@@ -187,6 +187,24 @@ def test_verify_all_suites_pass():
     assert set(blob["suites"]) == {"eigen", "ortho", "factor", "recur", "degree"}
 
 
+# sha256 of the ``verify --suites all`` report bytes of a 1-, a 3- and a
+# 4-level key, taken from the seed code; the benchmark checks the same digests
+_VERIFY_DIGESTS = {
+    ("4", "26/5"): "48dd493f497d4c0b09fe15d840772b7d068b6cc38a025bd423f866f65932b179",
+    ("1,2,4", "1,-1/4,7/2"):
+        "50547f4d2476c5350e788858a4ba4b3b5dd632f0e96cfcb938fc26720e281398",
+    ("1,2,3,5", "1,1,1,1"):
+        "d13aaedecfeefa80102b5f982dcc68c65b7761d435ab12242aad22b14af63cb2",
+}
+
+
+@pytest.mark.parametrize("m, t", sorted(_VERIFY_DIGESTS))
+def test_verify_all_suites_bytes_pinned(m, t):
+    res = _run("verify", "--m", m, "--t", t, "--suites", "all")
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _VERIFY_DIGESTS[(m, t)]
+
+
 def test_verify_inadmissible_ortho_exit_3():
     res = _run("verify", "--m", "0", "--t", "-1/2", "--suites", "ortho")
     assert res.exit_code == 3

@@ -33,6 +33,8 @@ from helpers import (
     rodrigues_legendre,
     sparse_poly,
     unfused_t_hat_numerator,
+    wronskian_ab_numerator,
+    wronskian_ba_numerator,
 )
 
 F = Fraction
@@ -134,7 +136,7 @@ def test_boundary_wronskian_vanishes_at_minus_one():
 
 
 def test_factorization_from_classical_start():
-    report = verify_factorization(FamilyKey((0,), (F(1),)), 0, probe_degree=8)
+    report = verify_factorization(FamilyKey((0,), (F(1),)), 0)
     assert report.passed
     assert {c.identity for c in report.checks} == {
         "factor_base",
@@ -144,22 +146,14 @@ def test_factorization_from_classical_start():
 
 
 def test_factorization_admissible_negative_parameter():
-    report = verify_factorization(FamilyKey((2,), (F(-1, 4),)), 2, probe_degree=8)
+    report = verify_factorization(FamilyKey((2,), (F(-1, 4),)), 2)
     assert report.passed
 
 
-def test_factorization_constant_probe_only():
-    report = verify_factorization(FamilyKey((1,), (F(1),)), 1, probe_degree=0)
-    assert report.passed  # degenerate probe set: constants only
-
-
-def test_factorization_rejects_negative_probe_degree(monkeypatch):
-    # no probe would run, so even a wrong numerator would pass every identity
+def test_factorization_rejects_perturbed_operator(monkeypatch):
     _perturb_t_hat(0)(monkeypatch)
     key = FamilyKey((1,), (F(1),))
     assert not verify_factorization(key, 1).passed
-    with pytest.raises(ValueError):
-        verify_factorization(key, 1, probe_degree=-1)
 
 
 def test_factorization_second_step_of_two():
@@ -173,7 +167,7 @@ def test_factorization_rejects_foreign_level():
 
 
 def test_factorization_report_json_shape():
-    report = verify_factorization(FamilyKey((0,), (F(1),)), 0, probe_degree=3)
+    report = verify_factorization(FamilyKey((0,), (F(1),)), 0)
     blob = report.to_json_obj()
     assert blob["kind"] == "factorization"
     assert blob["pass"] is True
@@ -200,6 +194,24 @@ _rats = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 @example(Poly([1]), Poly.zero())
 def test_t_hat_numerator_matches_unfused_oracle(tau_val, p):
     assert t_hat_numerator(tau_val, p) == unfused_t_hat_numerator(tau_val, p)
+
+
+@given(
+    st.lists(_rats, min_size=1, max_size=6).map(Poly).filter(bool),
+    st.lists(_rats, min_size=1, max_size=6).map(Poly).filter(bool),
+    st.lists(_rats, min_size=1, max_size=6).map(Poly).filter(bool),
+    st.lists(_rats, max_size=8).map(Poly),
+)
+@example(Poly([2, 1]), Poly([2, 1]), Poly([F(-3, 2)]), Poly([1, 2, 3]))  # constant phi
+@example(Poly([F(5, 3)]), Poly([7]), legendre_poly(3), Poly([0, 1, 0, 4]))  # constant taus
+@example(Poly([1, 0, 0, 5]), Poly([2, 1]), legendre_poly(2), Poly.zero())
+def test_operator_triples_match_wronskian_oracles(tau_a, tau_b, phi, f):
+    assert operators._apply(operators._ba(tau_a, tau_b, phi), f) == (
+        wronskian_ba_numerator(tau_a, tau_b, phi, f)
+    )
+    assert operators._apply(operators._ab(tau_a, phi), f) == (
+        wronskian_ab_numerator(tau_a, phi, f)
+    )
 
 
 def test_verify_eigen_rejects_a_perturbed_family_polynomial(monkeypatch):
@@ -254,12 +266,11 @@ def test_one_step_overlap_transformation_identity():
 # -- polynomial identities against the rational-function composition ---------
 
 
-def _oracle_factorization(key, m_step, probe_degree=None):
+def _oracle_factorization(key, m_step):
     """The identities probed one monomial at a time on canonical RatFuns."""
     _, tau0, tau1, phi = operators._step_context(key, m_step)
     lam = eigenvalue(m_step)
-    if probe_degree is None:
-        probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
+    probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
     a0, b0, a1, b1 = a_op(tau0, phi), b_op(phi, tau0), a_op(tau1, phi), b_op(phi, tau1)
 
     def factor(spec, a, b, probe):
@@ -304,13 +315,12 @@ _ORACLE_KEYS = [
 ]
 
 
-def _assert_matches_oracle(keys, probe_degrees):
+def _assert_matches_oracle(keys):
     for key in keys:
         for m_step in key.m:
-            for probe_degree in probe_degrees:
-                got = verify_factorization(key, m_step, probe_degree).to_json_obj()
-                want = _oracle_factorization(key, m_step, probe_degree).to_json_obj()
-                assert got == want, (key, m_step, probe_degree)
+            got = verify_factorization(key, m_step).to_json_obj()
+            want = _oracle_factorization(key, m_step).to_json_obj()
+            assert got == want, (key, m_step)
             for i in (0, 1, 3, 6):
                 if i != m_step:
                     assert verify_intertwining(key, m_step, i) == _oracle_intertwining(
@@ -320,7 +330,7 @@ def _assert_matches_oracle(keys, probe_degrees):
 
 def test_polynomial_identities_match_ratfun_oracle_on_lattice():
     assert {key.n for key in _ORACLE_KEYS} == {1, 2, 3}
-    _assert_matches_oracle(_ORACLE_KEYS, (None, 0, 1, 3))
+    _assert_matches_oracle(_ORACLE_KEYS)
 
 
 def _perturb_phi(monkeypatch):
@@ -334,16 +344,17 @@ def _perturb_phi(monkeypatch):
 
 
 def _perturb_t_hat(order):
+    # one more f^(order) term in tau * T f: +1 on that coefficient of the
+    # triple, which t_hat_numerator, verify_eigen and the factor checks read
     def perturb(monkeypatch):
-        original = operators.t_hat_numerator
+        original = operators._coefficients
 
-        def perturbed(tau_val, p):
-            extra = p
-            for _ in range(order):
-                extra = extra.differentiate()
-            return original(tau_val, p) + extra
+        def perturbed(tau_val):
+            triple = list(original(tau_val))
+            triple[2 - order] = triple[2 - order] + Poly.one()
+            return tuple(triple)
 
-        monkeypatch.setattr(operators, "t_hat_numerator", perturbed)
+        monkeypatch.setattr(operators, "_coefficients", perturbed)
 
     return perturb
 
@@ -358,7 +369,7 @@ def test_polynomial_identities_match_ratfun_oracle_on_counterexamples(
 ):
     perturb(monkeypatch)
     keys = _ORACLE_KEYS[::3]
-    _assert_matches_oracle(keys, (None, 0, 1, 3))
+    _assert_matches_oracle(keys)
     report = verify_factorization(keys[-1], keys[-1].m[-1])
     failing = [c.counterexample_probe for c in report.checks if not c.passed]
     assert failing and min(failing, key=lambda p: p.degree) == Poly.monomial(first_failure)

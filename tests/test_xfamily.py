@@ -403,6 +403,23 @@ def test_chain_polynomials_equal_determinantal_at_six_levels():
         assert rec.xpolys[i] == fam.polynomial(i), i
 
 
+def test_chain_divides_by_no_constant_one(monkeypatch):
+    # tau_0 = 1 on the first step: dividing by it would change nothing
+    key = FamilyKey((1, 2, 4), (F(1), F(-1, 4), F(7, 2)))
+    fam = family(key)
+    want = (fam.tau, [fam.polynomial(i) for i in range(13)])
+    original = Poly.exact_div
+
+    def refuse_one(self, other):
+        if other == Poly.one():
+            raise AssertionError("exact division by 1")
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "exact_div", refuse_one)
+    rec = recursive_family(key, 12)
+    assert (rec.tau, [rec.xpolys[i] for i in range(13)]) == want
+
+
 def test_recursive_overlap_base_example():
     rec = recursive_family(FamilyKey((0,), (F(1),)), 2)
     ov = rec.overlaps[(0, 0)]
