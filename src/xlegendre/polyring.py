@@ -23,7 +23,11 @@ instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
 polynomials, elimination and chain steps, adjugate rows and overlap
 numerators (``xfamily``), and the operator numerator and eigen residual
-(``operators``) are one such sum each.
+(``operators``) are one such sum each.  Beside it, ``poly_dot_at(terms, x)``
+is the value of that sum at a point without the product: one integer Horner
+pass per factor (the loop ``Poly.evaluate`` runs too), one integer numerator
+over one denominator, one ``Fraction``.  An overlap evaluated at z = 1 reads
+its numerator this way and never builds it.
 
 One integer pseudo-division, ``_pdivmod``, is behind ``divmod``, exact
 division and the remainder sequence.  ``remainder_sequence(a, b)`` is the
@@ -53,6 +57,7 @@ __all__ = [
     "parse_rat",
     "rat_str",
     "poly_dot",
+    "poly_dot_at",
     "poly_gcd",
     "remainder_sequence",
 ]
@@ -192,6 +197,27 @@ def _pdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], 
     while r and r[-1] == 0:
         r.pop()
     return q, r, s
+
+
+def _horner(nums: Sequence[int], xn: int, xd: int) -> tuple[int, int]:
+    """(acc, pw) with sum(nums[k] * (xn/xd)**k) == acc / pw, both integers.
+
+    An integer point takes no powers of xd; z = 1, where every orthogonality
+    check reads its overlaps, is the coefficient sum.
+    """
+    acc = 0
+    if xd == 1:
+        if xn == 1:
+            return sum(nums), 1
+        for c in reversed(nums):
+            acc = acc * xn + c
+        return acc, 1
+    pw = 1
+    for k in range(len(nums) - 1, -1, -1):
+        acc = acc * xn + nums[k] * pw
+        if k:
+            pw *= xd
+    return acc, pw
 
 
 _F0 = Fraction(0)
@@ -384,15 +410,7 @@ class Poly:
     def evaluate(self, x: RatLike) -> Fraction:
         """Exact Horner evaluation."""
         x = Fraction(x)
-        if not self._nums:
-            return _F0
-        xn, xd = x.numerator, x.denominator
-        acc = 0
-        pw = 1
-        for k in range(len(self._nums) - 1, -1, -1):
-            acc = acc * xn + self._nums[k] * pw
-            if k:
-                pw *= xd
+        acc, pw = _horner(self._nums, x.numerator, x.denominator)
         return Fraction(acc, self._den * pw)
 
     # -- division ------------------------------------------------------------
@@ -549,6 +567,26 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
         (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
     )
     return Poly._raw(_unpack(total, n_out, slot_bytes), den)
+
+
+def poly_dot_at(terms: Iterable[tuple[Poly, Poly]], x: RatLike) -> Fraction:
+    """The value at x of ``poly_dot(terms)``, built from the factors' values.
+
+    Each factor is one integer Horner pass; the sum is one integer numerator
+    over the least common denominator of the products, and one ``Fraction``.
+    """
+    x = Fraction(x)
+    xn, xd = x.numerator, x.denominator
+    num, den = 0, 1
+    for a, b in terms:
+        va, wa = _horner(a._nums, xn, xd)
+        vb, wb = _horner(b._nums, xn, xd)
+        if va and vb:
+            d = a._den * wa * b._den * wb
+            lcm = math.lcm(den, d)
+            num = num * (lcm // den) + va * vb * (lcm // d)
+            den = lcm
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,29 @@ package assert with zero tolerance.
 
 ``RatFun.of`` rejects a zero denominator at once but defers the reduction to
 the first read of ``num`` or ``den`` (equality, hashing, arithmetic, ``str``
-and ``to_json`` all read them).  ``evaluate`` uses the unreduced pair when
-its denominator does not vanish at the point, so a value that is only
-evaluated never pays for a gcd; at a root of that denominator it reduces
-first, so a removable singularity still evaluates and a true pole raises.
+and ``to_json`` all read them).  It also takes the numerator as the pairs of
+a sum of products, which it defers the same way: ``poly_dot`` builds the
+numerator at that first read (or at ``is_zero``).  ``evaluate`` uses the
+unreduced pair when its denominator does not vanish at the point, reading a
+deferred numerator from its factors' values (``poly_dot_at``), so a value
+that is only evaluated never pays for a gcd or a product; at a root of that
+denominator it reduces first, so a removable singularity still evaluates and
+a true pole raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .polyring import InexactDivisionError, Poly, RatLike, poly_gcd
+from .polyring import (
+    InexactDivisionError,
+    Poly,
+    RatLike,
+    poly_dot,
+    poly_dot_at,
+    poly_gcd,
+)
 
 __all__ = ["PoleError", "RatFun"]
 
@@ -41,9 +52,11 @@ def _coerce(value: object) -> "RatFun | None":
 class RatFun:
     """Quotient of two polynomials, read in canonical form."""
 
-    # _pair is (num, den); it is canonical once _reduced is set.  The
-    # reduction is idempotent and _pair is assigned before _reduced, so
-    # concurrent first reads may both reduce and still agree.
+    # _pair is (num, den), num a Poly or, until the reduction, a tuple of
+    # (a, b) pairs whose sum of products it is; the pair is canonical once
+    # _reduced is set.  Only the reduction writes it: it is idempotent and
+    # _pair is assigned before _reduced, so concurrent first reads may both
+    # reduce and still agree.
     __slots__ = ("_pair", "_reduced")
 
     def __init__(self, num: Poly, den: Poly):
@@ -52,13 +65,21 @@ class RatFun:
         self._reduced = True
 
     @classmethod
-    def of(cls, num: Poly, den: Poly | None = None) -> "RatFun":
-        """num/den, reduced (then den made monic) when num or den is first read."""
+    def of(
+        cls, num: Poly | Iterable[tuple[Poly, Poly]], den: Poly | None = None
+    ) -> "RatFun":
+        """num/den, reduced (then den made monic) when num or den is first read.
+
+        num may be the pairs (a, b) of the numerator sum(a * b), which is
+        then built at that first read too.
+        """
         if den is None:
             den = Poly.one()
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
+        if not isinstance(num, Poly):
+            num = tuple(num)
+        elif num.is_zero:
             return _ZERO
         out = cls(num, den)
         out._reduced = False
@@ -66,6 +87,8 @@ class RatFun:
 
     def _reduce(self) -> tuple[Poly, Poly]:
         num, den = self._pair
+        if not isinstance(num, Poly):
+            num = poly_dot(num)
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
@@ -104,8 +127,10 @@ class RatFun:
 
     @property
     def is_zero(self) -> bool:
-        # a nonzero numerator stays nonzero under reduction
-        return self._pair[0].is_zero
+        # a nonzero numerator stays nonzero under reduction; a deferred one
+        # is only known once built
+        num = self._pair[0]
+        return (num if isinstance(num, Poly) else self.num).is_zero
 
     @property
     def is_polynomial(self) -> bool:
@@ -208,7 +233,9 @@ class RatFun:
             dv = den.evaluate(x)
         if dv == 0:
             raise PoleError(f"pole at z = {x}")
-        return num.evaluate(x) / dv
+        if isinstance(num, Poly):
+            return num.evaluate(x) / dv
+        return poly_dot_at(num, x) / dv
 
     def as_polynomial(self) -> Poly:
         """The exact polynomial quotient; raises if the value is not polynomial."""

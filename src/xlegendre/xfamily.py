@@ -23,8 +23,11 @@ The deformed overlaps (antiderivatives of ``P_i1 P_i2 / tau^2`` vanishing at
 
     overlap(i, j) = R(i, j) - sum_{k,l} t_k R(i, m_k) adj[k, l] R(m_l, j) / tau
 
-which is exact for every key.  ``XFamily.overlap`` evaluates it, and the test
-suite checks it against a level-by-level deformation.
+which is exact for every key.  ``XFamily.overlap`` returns it as ``N / tau``
+with the numerator ``N`` left as its sum of products: a value at a point is
+read from the factors, and ``N`` is built only when the rational function
+itself is read.  The test suite checks it against a level-by-level
+deformation.
 
 Degrees obey ``deg tau = 2*sum(m) + n`` and
 ``deg P_i = 2*sum(m) + n + i - (2i+1)*[i in m]``, so the attained degree
@@ -505,17 +508,20 @@ class XFamily:
 
     def overlap(self, i1: int, i2: int) -> RatFun:
         """Deformed overlap of P_i1 and P_i2 as N / tau, where, with i <= j
-        the sorted pair, N = tau R(i, j) - sum_l a_i[l] R(m_l, j)."""
+        the sorted pair, N = tau R(i, j) - sum_l a_i[l] R(m_l, j).
+
+        N is handed to ``RatFun.of`` as its pairs of factors, so evaluating
+        the overlap away from the roots of tau builds no polynomial; reading
+        it as a rational function builds N with one ``poly_dot``.
+        """
         pair = _pkey(i1, i2)
         hit = self._overlaps.get(pair)
         if hit is not None:
             return hit
         i, j = pair
-        num = poly_dot(
-            [(self.tau, overlap_R(i, j))]
-            + [(neg_a, overlap_R(m, j)) for neg_a, m in zip(self._row(i), self.key.m)]
-        )
-        value = RatFun.of(num, self.tau)
+        terms = [(self.tau, overlap_R(i, j))]
+        terms += [(neg_a, overlap_R(m, j)) for neg_a, m in zip(self._row(i), self.key.m)]
+        value = RatFun.of(terms, self.tau)
         with self._lock:
             return self._overlaps.setdefault(pair, value)
 

@@ -15,7 +15,7 @@ from xlegendre import (
     poly_gcd,
     rat_str,
 )
-from xlegendre.polyring import _SCHOOLBOOK_CUTOFF
+from xlegendre.polyring import _SCHOOLBOOK_CUTOFF, poly_dot_at
 
 from helpers import fraction_antiderivative, fraction_divmod, sparse_poly
 
@@ -225,6 +225,20 @@ def test_poly_dot_cancellation(a, b, c):
     # the sum cancels to zero, or its top coefficients cancel
     _same(poly_dot([(a, b), (-a, b)]), Poly.zero())
     _same(poly_dot([(b, a), (a, c), (-a, b)]), a * c)
+
+
+@given(
+    st.lists(st.tuples(any_polys, any_polys), max_size=5),
+    st.one_of(st.integers(-4, 4), points),
+)
+@example([], 1)
+@example([], Fraction(1, 3))
+@example([(Poly.zero(), Poly([1, 2]))], 1)
+@example([(Poly([Fraction(1, 2), 3]), Poly([Fraction(-2, 3), 0, 5]))], 1)
+def test_poly_dot_at_matches_value_of_poly_dot(terms, x):
+    want = poly_dot(terms).evaluate(x)
+    got = poly_dot_at(terms, x)
+    assert type(got) is Fraction and got == want
 
 
 def test_poly_dot_goldens():

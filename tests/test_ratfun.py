@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from xlegendre import InexactDivisionError, PoleError, Poly, RatFun
+from xlegendre import InexactDivisionError, PoleError, Poly, RatFun, poly_dot
 
 rats = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 polys = st.lists(rats, min_size=0, max_size=5).map(Poly)
@@ -162,9 +162,10 @@ def test_concurrent_first_reads_agree():
     import threading
 
     num, den = (Z + 1) ** 3 * (Z - 2), (Z + 1) ** 2 * (Z + 5)
+    terms = [((Z + 1) ** 3, Z), ((Z + 1) ** 3, Poly([-2]))]  # num, deferred
     want = RatFun.of(num, den).to_json()
-    for _ in range(20):
-        shared = RatFun.of(num, den)
+    for k in range(20):
+        shared = RatFun.of(num if k % 2 else terms, den)
         seen = []
         threads = [
             threading.Thread(target=lambda: seen.append((shared.evaluate(-1), shared.to_json())))
@@ -181,3 +182,28 @@ def test_concurrent_first_reads_agree():
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert seen == [(Fraction(0), want)] * 8
+
+
+# -- deferred numerator -------------------------------------------------------------
+
+
+def test_deferred_numerator_matches_materialized():
+    terms = [(Z + 1, Z - 3), (Poly([2]), Z * Z - 1)]
+    den = (Z + 1) * Poly([1, 0, 2])
+    built = RatFun.of(poly_dot(terms), den)
+    assert RatFun.of(terms, den).evaluate(Fraction(1, 2)) == built.evaluate(Fraction(1, 2))
+    assert RatFun.of(terms, den).evaluate(-1) == built.evaluate(-1)  # removable
+    assert RatFun.of(terms, den) == built and hash(RatFun.of(terms, den)) == hash(built)
+    assert str(RatFun.of(terms, den)) == str(built)
+    assert RatFun.of(iter(terms), den).to_json() == built.to_json()
+
+
+def test_deferred_zero_numerator():
+    a, b = Z + 2, Z * Z - 3
+    zero = RatFun.of([(a, b), (-a, b)], Z - 1)
+    assert zero.is_zero and not zero
+    assert zero == RatFun.zero() and zero.den == Poly.one()
+    assert RatFun.of([], Z - 1).evaluate(1) == 0  # 0/0 reduces to 0/1 first
+    assert not RatFun.of([(a, b)], Z - 1).is_zero
+    with pytest.raises(ZeroDivisionError):
+        RatFun.of([(a, b)], Poly.zero())

@@ -4,11 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from xlegendre import (
     FamilyKey,
     Poly,
+    PoleError,
     PolyMatrix,
     RatFun,
     build_matrix,
@@ -19,11 +20,14 @@ from xlegendre import (
     legendre_poly,
     missing_degrees,
     overlap_R,
+    poly_dot,
     q_vector,
     recursive_family,
     tau,
 )
-from xlegendre.xfamily import _tau_raw, _q_raw
+from xlegendre import polyring, ratfun, xfamily
+from xlegendre.admissibility import admissibility_formula
+from xlegendre.xfamily import XFamily, _tau_raw, _q_raw
 
 from helpers import (
     cofactor_det,
@@ -501,6 +505,82 @@ def test_closed_form_overlaps_match_level_by_level_deformation():
         for (i1, i2), value in expected.items():
             assert fam.overlap(i1, i2) == value, (key, i1, i2)
             assert fam.overlap(i2, i1) is fam.overlap(i1, i2)
+
+
+def _value_or_pole(f, x):
+    try:
+        return f.evaluate(x)
+    except PoleError:
+        return PoleError
+
+
+def _assert_overlap_matches_built_numerator(key, i, j, points):
+    # a family of its own, so that its overlaps are deferred when first read
+    fam = XFamily(canonicalize(key))
+    terms = [(fam.tau, overlap_R(i, j))]
+    terms += [(neg_a, overlap_R(m, j)) for neg_a, m in zip(fam._row(i), fam.key.m)]
+    built = RatFun.of(poly_dot(terms), fam.tau)
+    deferred = fam.overlap(i, j)
+    for x in points:
+        assert _value_or_pole(deferred, x) == _value_or_pole(built, x), (key, i, j, x)
+    assert str(deferred) == str(built)
+    assert deferred.to_json() == built.to_json()
+    assert deferred == built and hash(deferred) == hash(built)
+
+
+_admissible_keys = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n, unique=True),
+        st.lists(st.fractions(min_value=-1, max_value=9, max_denominator=5),
+                 min_size=n, max_size=n),
+    )
+).map(lambda mt: FamilyKey(tuple(mt[0]), tuple(mt[1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _admissible_keys,
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=3),
+)
+def test_deferred_overlap_matches_built_numerator(key, i1, i2, points):
+    assume(admissibility_formula(canonicalize(key)))
+    i, j = min(i1, i2), max(i1, i2)
+    _assert_overlap_matches_built_numerator(key, i, j, [1, -1, 0, *points])
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 1), (1, 3), (2, 2)])
+def test_deferred_overlap_at_a_root_of_tau(i, j):
+    key = FamilyKey((1,), (F(-3),))
+    assert family(key).tau == Poly([0, 0, 0, -1])
+    _assert_overlap_matches_built_numerator(key, i, j, [0, 1, -1])
+
+
+def test_overlap_evaluate_builds_no_numerator(monkeypatch):
+    key = canonicalize(FamilyKey((1, 3), (F(1), F(1, 2))))
+    fam = XFamily(key)
+    for i in range(5):
+        fam._row(i)
+        for j in (*range(5), *key.m):
+            overlap_R(i, j)
+    calls = []
+    real = polyring.poly_dot
+
+    def counted(terms):
+        calls.append(terms)
+        return real(terms)
+
+    for module in (polyring, ratfun, xfamily):
+        monkeypatch.setattr(module, "poly_dot", counted)
+    overlap = fam.overlap(2, 4)
+    assert overlap.evaluate(1) == 0
+    assert fam.overlap(2, 2).evaluate(1) == F(2, 5)
+    assert calls == []
+    overlap.num
+    assert len(calls) == 1
+    overlap.den
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
