@@ -27,9 +27,13 @@ P = tau_a*tau_b and K = (1-z^2)*P' + 2*z*P:
     A(tau, phi) B(phi, tau), over phi * tau:
         ((1-z^2)*tau*phi,  -2*tau*(2*z*phi + (1-z^2)*phi'),  2*phi'*L - phi*L')
 
-An operator is applied as one three-term sum of products; an identity is
-cleared of its common denominator and checked as a zero triple, with no
-rational function reduced.  The tests compose the same operators on
+An operator is applied as one three-term sum of products, and an identity
+is cleared of its common denominator, with no rational function reduced.
+The eigen and intertwining residuals are each one ``poly_dot_is_zero``: one
+integer, the residual's value at z = 2^w, which is zero exactly when the
+residual is, so no residual polynomial is built.  Only the factorization
+identities build their difference triples, because a failing one reports
+its first nonzero coefficient C_k.  The tests compose the same operators on
 canonical rational functions and as Wronskians (``tests/helpers.py``), as
 independent oracles for the triples.
 """
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyring import Poly, poly_dot
+from .polyring import Poly, poly_dot, poly_dot_is_zero
 from .xfamily import FamilyKey, exceptional_poly, family, tau
 
 __all__ = [
@@ -70,10 +74,15 @@ def wronskian(a: Poly, b: Poly) -> Poly:
     return a * b.differentiate() - a.differentiate() * b
 
 
-def _apply(triple: _Triple, f: Poly) -> Poly:
+def _terms(triple: _Triple, f: Poly) -> tuple[tuple[Poly, Poly], ...]:
+    """The products (C2, f''), (C1, f'), (C0, f) of the triple applied to f."""
     c2, c1, c0 = triple
     df = f.differentiate()
-    return poly_dot(((c2, df.differentiate()), (c1, df), (c0, f)))
+    return (c2, df.differentiate()), (c1, df), (c0, f)
+
+
+def _apply(triple: _Triple, f: Poly) -> Poly:
+    return poly_dot(_terms(triple, f))
 
 
 @lru_cache(maxsize=2)  # a family's eigen checks, or a step's two taus, share it
@@ -93,7 +102,8 @@ def verify_eigen(key: FamilyKey, i: int) -> bool:
     """Exact check that the i-th family polynomial has eigenvalue -i(i+1)."""
     fam = family(key)
     a, b, c = _coefficients(fam.tau)
-    return _apply((a, b, c - fam.tau.scale(eigenvalue(i))), fam.polynomial(i)).is_zero
+    residual = _terms((a, b, c - fam.tau.scale(eigenvalue(i))), fam.polynomial(i))
+    return poly_dot_is_zero(residual)
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,12 @@ def _ba(tau_a: Poly, tau_b: Poly, phi: Poly) -> _Triple:
     k = poly_dot(((_ONE_MINUS_Z2, p.differentiate()), (_TWO_Z, p)))
     dphi = phi.differentiate()
     return w * phi, -(k * phi), poly_dot(((k, dphi), (-w, dphi.differentiate())))
+
+
+@lru_cache(maxsize=2)  # every index of a step shares it
+def _intertwiner(tau0: Poly, tau1: Poly, phi: Poly) -> tuple[_Triple, Poly]:
+    """BA(tau0, tau1, phi) and phi * tau0^2."""
+    return _ba(tau0, tau1, phi), phi * tau0 * tau0
 
 
 def _ab(tau_val: Poly, phi: Poly) -> _Triple:
@@ -230,8 +246,11 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
 
     (The sign follows from d/dz[(1-z^2)*Wr(phi, pi_i)/tau^2] being
     (lambda_i - lambda_m)*pi_i*phi/tau^2; both sides vanish at z = -1.)
-    Both sides are multiplied by phi * tau^2 and compared as polynomials:
-    BA(tau, tau_m) applied to pi_i == (lambda_i - lambda_m) * pi_{m;i} * phi * tau^2.
+    Both sides are multiplied by phi * tau^2, and their difference
+
+        BA(tau, tau_m) pi_i - (lambda_i - lambda_m) * (phi * tau^2) * pi_{m;i}
+
+    is one ``poly_dot_is_zero`` of four products.
     """
     if i == m_step:
         raise ValueError("intertwining check requires i distinct from the step level")
@@ -239,5 +258,5 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
     pi_i = exceptional_poly(base, i)
     pi_mi = exceptional_poly(key, i)
     factor = eigenvalue(i) - eigenvalue(m_step)
-    lhs = _apply(_ba(tau0, tau1, phi), pi_i)
-    return lhs == (pi_mi * phi * tau0 * tau0).scale(factor)
+    ba, phi_tau0_sq = _intertwiner(tau0, tau1, phi)
+    return poly_dot_is_zero(_terms(ba, pi_i) + ((phi_tau0_sq, pi_mi.scale(-factor)),))

@@ -22,12 +22,17 @@ Kronecker slot width and one unpack, and the result is normalized once
 instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
 polynomials, elimination and chain steps, adjugate rows and overlap
-numerators (``xfamily``), and the operator numerator and eigen residual
-(``operators``) are one such sum each.  Beside it, ``poly_dot_at(terms, x)``
-is the value of that sum at a point without the product: one integer Horner
-pass per factor (the loop ``Poly.evaluate`` runs too), one integer numerator
-over one denominator, one ``Fraction``.  An overlap evaluated at z = 1 reads
-its numerator this way and never builds it.
+numerators (``xfamily``), and the operator numerator and factorization
+triples (``operators``) are one such sum each.  Beside it, ``poly_dot_at(terms,
+x)`` is the value of that sum at a point without the product: one integer
+Horner pass per factor (the loop ``Poly.evaluate`` runs too), one integer
+numerator over one denominator, one ``Fraction``.  An overlap evaluated at
+z = 1 reads its numerator this way and never builds it.
+``poly_dot_is_zero(terms)`` asks only whether the sum is zero: it shares
+``poly_dot``'s pass over the terms and stops at the packed integer, the
+sum's value at z = 2^w, which is zero exactly when every coefficient is
+(Kronecker comment below).  The eigen and intertwining residuals
+(``operators``) are one such integer each.
 
 One integer pseudo-division, ``_pdivmod``, is behind ``divmod``, exact
 division and the remainder sequence.  ``remainder_sequence(a, b)`` is the
@@ -58,6 +63,7 @@ __all__ = [
     "rat_str",
     "poly_dot",
     "poly_dot_at",
+    "poly_dot_is_zero",
     "poly_gcd",
     "remainder_sequence",
 ]
@@ -89,8 +95,8 @@ def rat_str(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _content(nums: Iterable[int]) -> int:
-    g = 0
+def _content(nums: Iterable[int], g: int = 0) -> int:
+    """gcd of ``g`` and the coefficients, stopping as soon as it is 1."""
     for v in nums:
         if v:
             g = math.gcd(g, v)
@@ -109,12 +115,22 @@ def _content(nums: Iterable[int]) -> int:
 # Python-level double loop by well over an order of magnitude at the degrees
 # produced by determinant expansion.
 #
+# A polynomial packs to its value at z = 2^w, w = 8 * slot_bytes: each digit
+# plus half = 2^(w-1) fills its slot as unsigned bytes, the slots are joined
+# in one pass and half * sum_k 2^(w*k) is taken off again.  A digit outside
+# [-half, half) raises OverflowError instead of spilling into its neighbour.
+#
 # Packing is linear, so a sum of products sum_k f_k * a_k * b_k is also one
 # packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
 # its largest digit, sum_k |f_k| max|a_k| max|b_k| min(len a_k, len b_k).
 # ``poly_dot`` packs each operand once, adds the scaled big-integer products
 # and unpacks once; a single product is the sum with one term.  Below the
 # cutoff it adds each f_k*a_i*b_j into the output, a_i from the shorter operand.
+#
+# ``poly_dot_is_zero`` stops at the packed sum.  The slots leave every digit
+# below 2^(w-2) in absolute value, so a nonzero top digit c_t outweighs all
+# digits below it, |sum_{j<t} c_j 2^(w*j)| < 2^(w*t): the integer is zero
+# exactly when every coefficient of the sum is.
 # ---------------------------------------------------------------------------
 
 _SCHOOLBOOK_CUTOFF = 900  # product of operand lengths below which looping wins
@@ -125,24 +141,24 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 2 + 7) // 8  # room for sign bias
 
 
+def _bias(n: int, slot_bytes: int) -> int:
+    """sum_{k<n} half * 2^(8*slot_bytes*k), half = 2^(8*slot_bytes - 1)."""
+    half = 1 << (slot_bytes * 8 - 1)
+    return int.from_bytes(half.to_bytes(slot_bytes, "little") * n, "little")
+
+
 def _pack(nums: Sequence[int], slot_bytes: int) -> int:
-    pos = bytearray(len(nums) * slot_bytes)
-    neg = bytearray(len(nums) * slot_bytes)
-    off = 0
-    for v in nums:
-        if v > 0:
-            pos[off : off + slot_bytes] = v.to_bytes(slot_bytes, "little")
-        elif v < 0:
-            neg[off : off + slot_bytes] = (-v).to_bytes(slot_bytes, "little")
-        off += slot_bytes
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """The value at z = 2^(8*slot_bytes) of the polynomial with digits ``nums``."""
+    half = 1 << (slot_bytes * 8 - 1)
+    raw = b"".join([(v + half).to_bytes(slot_bytes, "little") for v in nums])
+    return int.from_bytes(raw, "little") - _bias(len(nums), slot_bytes)
 
 
 def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
     """The ``n_out`` signed slot digits of ``packed``."""
     half = 1 << (slot_bytes * 8 - 1)
-    bias = int.from_bytes(half.to_bytes(slot_bytes, "little") * n_out, "little")
-    raw = (packed + bias).to_bytes(n_out * slot_bytes + slot_bytes, "little")
+    biased = packed + _bias(n_out, slot_bytes)
+    raw = biased.to_bytes(n_out * slot_bytes + slot_bytes, "little")
     # biased digits never overflow a slot, so chunks decode independently
     return [
         int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
@@ -248,10 +264,11 @@ class Poly:
         if den < 0:
             den = -den
             nums = [-v for v in nums]
-        g = math.gcd(_content(nums), den)
-        if g > 1:
-            nums = [v // g for v in nums]
-            den //= g
+        if den > 1:
+            g = _content(nums, den)
+            if g > 1:
+                nums = [v // g for v in nums]
+                den //= g
         self._nums = tuple(nums)
         self._den = den
         return self
@@ -525,12 +542,13 @@ _ONE = Poly([1])
 _X = Poly([0, 1])
 
 
-def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """The sum of ``a * b`` over the pairs in ``terms``, normalized once.
+def _dot_pairs(terms: Iterable[tuple[Poly, Poly]]) -> tuple[list, int, int, int]:
+    """The one pass over ``terms`` behind ``poly_dot`` and ``poly_dot_is_zero``.
 
-    Every product is brought to the least common denominator of the
-    products' denominators; large sums take one Kronecker product per term
-    in a shared slot width and one unpack (see the Kronecker comment above).
+    Returns (pairs, den, n_out, work): each product with two nonzero factors
+    as (shorter nums, longer nums, its denominator), the least common
+    denominator of the products, the length of the sum and the schoolbook
+    work, the summed products of operand lengths.
     """
     pairs = []
     den = 1
@@ -545,6 +563,31 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
             den = math.lcm(den, d)
             n_out = max(n_out, len(an) + len(bn) - 1)
             work += len(an) * len(bn)
+    return pairs, den, n_out, work
+
+
+def _packed_sum(pairs: list, den: int) -> tuple[int, int]:
+    """(sum_k f_k * pack(a_k) * pack(b_k), slot_bytes) with f_k = den // d_k,
+    in slots that hold the sum's largest digit."""
+    bound = sum(
+        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
+        for an, bn, d in pairs
+    )
+    slot_bytes = _slot_bytes(bound)
+    total = sum(
+        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
+    )
+    return total, slot_bytes
+
+
+def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The sum of ``a * b`` over the pairs in ``terms``, normalized once.
+
+    Every product is brought to the least common denominator of the
+    products' denominators; large sums take one Kronecker product per term
+    in a shared slot width and one unpack (see the Kronecker comment above).
+    """
+    pairs, den, n_out, work = _dot_pairs(terms)
     if not pairs:
         return _ZERO
     if work <= _SCHOOLBOOK_CUTOFF:
@@ -558,15 +601,20 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
                         if bj:
                             out[k] += fa * bj
         return Poly._raw(out, den)
-    bound = sum(
-        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
-        for an, bn, d in pairs
-    )
-    slot_bytes = _slot_bytes(bound)
-    total = sum(
-        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
-    )
+    total, slot_bytes = _packed_sum(pairs, den)
     return Poly._raw(_unpack(total, n_out, slot_bytes), den)
+
+
+def poly_dot_is_zero(terms: Iterable[tuple[Poly, Poly]]) -> bool:
+    """Whether ``poly_dot(terms)`` is the zero polynomial, without building it.
+
+    The sum is one integer, its value at z = 2^w in the slots ``poly_dot``
+    would use, and it is zero exactly when every coefficient is (see the
+    Kronecker comment above).  No polynomial is built, nothing is unpacked
+    and nothing is normalized, at any size.
+    """
+    pairs, den, _, _ = _dot_pairs(terms)
+    return not pairs or not _packed_sum(pairs, den)[0]
 
 
 def poly_dot_at(terms: Iterable[tuple[Poly, Poly]], x: RatLike) -> Fraction:

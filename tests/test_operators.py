@@ -215,16 +215,17 @@ def test_operator_triples_match_wronskian_oracles(tau_a, tau_b, phi, f):
 
 
 def test_verify_eigen_rejects_a_perturbed_family_polynomial(monkeypatch):
-    # P_i + z^k is no eigenfunction: the fused residual must see it
+    # P_i + c*z^k is no eigenfunction, however small c: the zero test must see it
     key = FamilyKey((1, 2), (F(2), F(-8, 5)))
     assert all(verify_eigen(key, i) for i in range(5))
     original = xfamily.XFamily.polynomial
-    for k in (0, 1, 4):
-        shifted = Poly.monomial(k)
-        monkeypatch.setattr(
-            xfamily.XFamily, "polynomial", lambda fam, i: original(fam, i) + shifted
-        )
-        assert not any(verify_eigen(key, i) for i in range(5)), k
+    for c in (F(1), F(1, 10**40)):
+        for k in (0, 1, 4):
+            shifted = Poly.monomial(k, c)
+            monkeypatch.setattr(
+                xfamily.XFamily, "polynomial", lambda fam, i: original(fam, i) + shifted
+            )
+            assert not any(verify_eigen(key, i) for i in range(5)), (c, k)
 
 
 def test_eigen_identity_fails_for_wrong_eigenvalue():
@@ -239,6 +240,24 @@ def test_intertwining_examples():
     assert verify_intertwining(FamilyKey((0,), (F(1),)), 0, 1)
     assert verify_intertwining(FamilyKey((1,), (F(1, 3),)), 1, 0)
     assert verify_intertwining(FamilyKey((2, 5), (F(1), F(7, 2))), 5, 3)
+
+
+def test_intertwining_rejects_a_perturbed_deformed_polynomial(monkeypatch):
+    # pi_{m;i} + c*z^k on the deformed key alone breaks the identity, however small c
+    key = FamilyKey((2, 5), (F(1), F(7, 2)))
+    indices = (0, 1, 3, 6)
+    assert all(verify_intertwining(key, 5, i) for i in indices)
+    deformed = xfamily.family(key)
+    original = xfamily.XFamily.polynomial
+    for c in (F(1), F(1, 10**40)):
+        for k in (0, 1, 4):
+            shifted = Poly.monomial(k, c)
+
+            def perturbed(fam, i, shifted=shifted):
+                return original(fam, i) + shifted if fam is deformed else original(fam, i)
+
+            monkeypatch.setattr(xfamily.XFamily, "polynomial", perturbed)
+            assert not any(verify_intertwining(key, 5, i) for i in indices), (c, k)
 
 
 def test_intertwining_rejects_equal_indices():

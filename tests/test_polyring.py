@@ -15,7 +15,13 @@ from xlegendre import (
     poly_gcd,
     rat_str,
 )
-from xlegendre.polyring import _SCHOOLBOOK_CUTOFF, poly_dot_at
+from xlegendre.polyring import (
+    _SCHOOLBOOK_CUTOFF,
+    _pack,
+    _unpack,
+    poly_dot_at,
+    poly_dot_is_zero,
+)
 
 from helpers import fraction_antiderivative, fraction_divmod, sparse_poly
 
@@ -316,6 +322,66 @@ def test_poly_dot_slots_hold_the_largest_digit(bits):
     ones = Poly([1] * 32)
     for terms in ([(top, top)] * 8, [(bottom, top)] * 8, [(top, top), (bottom, ones)]):
         _same(poly_dot(terms), _naive_dot(terms))
+
+
+_scales = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)])
+
+
+@given(
+    st.lists(st.tuples(any_polys, any_polys), max_size=4),
+    st.one_of(st.none(), _scales),
+    st.sampled_from([None, "lowest", "middle", "top"]),
+    st.sampled_from([1, -1]),
+)
+@example([], None, None, 1)
+@example([(Poly([1, 2]), Poly([3]))], None, None, 1)
+@example([(Poly.zero(), Poly([1, 2]))], None, None, 1)
+@example([(Poly([1, 2]), Poly([Fraction(1, 3)]))], Fraction(2), None, 1)
+@example(
+    [(Poly([Fraction(1, 2**200 + 1)] * 30), Poly([2**200] * 31))], Fraction(1, 3), "middle", -1
+)
+def test_poly_dot_is_zero_matches_poly_dot(terms, cancel, slot, sign):
+    # cancel: each (a, b) also enters as (r*b, -a/r), so the products cancel
+    # across different denominators; slot: then one digit +-1 over the
+    # common denominator is left in the lowest, a middle or the top slot
+    if cancel is not None:
+        terms = terms + [(b.scale(cancel), a.scale(-1 / cancel)) for a, b in terms]
+    if slot is not None:
+        den = math.lcm(1, *(a._den * b._den for a, b in terms if a and b))
+        n_out = max((a.degree + b.degree + 1 for a, b in terms if a and b), default=1)
+        k = {"lowest": 0, "middle": n_out // 2, "top": n_out - 1}[slot]
+        terms = terms + [(Poly.monomial(k, Fraction(sign, den)), Poly.one())]
+    got = poly_dot_is_zero(terms)
+    assert got is poly_dot(terms).is_zero
+    if cancel is not None:
+        assert got is (slot is None)
+
+
+@pytest.mark.parametrize("bits", range(60, 68))
+def test_poly_dot_is_zero_slots_hold_the_largest_digit(bits):
+    # 2^bits - z and z^2 - 2^bits*z vanish at z = 2^bits, and one of eight
+    # consecutive sizes makes that the value at z = 2^w one slot byte short
+    h = bits // 2
+    ones = Poly([1] * 32)
+    top = Poly([2**bits - 1] * 32)
+    for terms in (
+        [(Poly([2**h]), Poly([2 ** (bits - h)])), (Poly([0, -1]), Poly.one())],
+        [(Poly([0, 2**h]), Poly([-(2 ** (bits - h))])), (Poly.x(), Poly.x())],
+        [(top, top)] * 8 + [(-top, top)] * 7 + [(top, ones)],
+    ):
+        assert not poly_dot_is_zero(terms) and not poly_dot(terms).is_zero
+    assert poly_dot_is_zero([(top, top)] * 8 + [(top, -top)] * 8)
+
+
+@pytest.mark.parametrize("slot_bytes", [1, 2, 8, 33])
+def test_pack_round_trips_the_widest_digits(slot_bytes):
+    half = 1 << (8 * slot_bytes - 1)
+    for x in ([half - 1], [-half], [half - 1, 0, -half, 1 - half, -1, half - 1]):
+        assert _unpack(_pack(x, slot_bytes), len(x), slot_bytes) == x
+    # a digit outside the slot raises instead of spilling into its neighbour
+    for x in ([half], [0, -half - 1]):
+        with pytest.raises(OverflowError):
+            _pack(x, slot_bytes)
 
 
 # -- division and gcd ---------------------------------------------------------
