@@ -29,13 +29,18 @@ P = tau_a*tau_b and K = (1-z^2)*P' + 2*z*P:
 
 An operator is applied as one three-term sum of products, and an identity
 is cleared of its common denominator, with no rational function reduced.
-The eigen and intertwining residuals are each one ``poly_dot_is_zero``: one
-integer, the residual's value at z = 2^w, which is zero exactly when the
-residual is, so no residual polynomial is built.  Only the factorization
-identities build their difference triples, because a failing one reports
-its first nonzero coefficient C_k.  The tests compose the same operators on
-canonical rational functions and as Wronskians (``tests/helpers.py``), as
-independent oracles for the triples.
+The eigen and intertwining residuals are each one ``FixedOperands.is_zero``:
+one integer, the residual's value at z = 2^w, which is zero exactly when the
+residual is, so no residual polynomial is built.  The operands that do not
+change with the index (a family's triple and tau, a step's B A triple and
+phi * tau0^2) sit over one denominator on the memoized ``_coefficients`` and
+``_intertwiner`` entries, with their packs by slot width; each check packs
+only its polynomials and their derivative digits, and forms C - lambda*tau
+as pack(C) - lambda*pack(tau).  Only the factorization identities build
+their difference triples, because a failing one reports its first nonzero
+coefficient C_k.  The tests compose the same operators on canonical rational
+functions and as Wronskians (``tests/helpers.py``), as independent oracles
+for the triples.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyring import Poly, poly_dot, poly_dot_is_zero
+from .polyring import FixedOperands, Poly, poly_dot
 from .xfamily import FamilyKey, exceptional_poly, family, tau
 
 __all__ = [
@@ -74,36 +79,38 @@ def wronskian(a: Poly, b: Poly) -> Poly:
     return a * b.differentiate() - a.differentiate() * b
 
 
-def _terms(triple: _Triple, f: Poly) -> tuple[tuple[Poly, Poly], ...]:
-    """The products (C2, f''), (C1, f'), (C0, f) of the triple applied to f."""
+def _apply(triple: _Triple, f: Poly) -> Poly:
     c2, c1, c0 = triple
     df = f.differentiate()
-    return (c2, df.differentiate()), (c1, df), (c0, f)
-
-
-def _apply(triple: _Triple, f: Poly) -> Poly:
-    return poly_dot(_terms(triple, f))
+    return poly_dot(((c2, df.differentiate()), (c1, df), (c0, f)))
 
 
 @lru_cache(maxsize=2)  # a family's eigen checks, or a step's two taus, share it
-def _coefficients(tau_val: Poly) -> _Triple:
-    """The triple of tau times the operator."""
+def _coefficients(tau_val: Poly) -> FixedOperands:
+    """The triple of tau times the operator, then tau, packed once per width."""
     dt = tau_val.differentiate()
     b = poly_dot(((_ONE_MINUS_Z2, dt), (Poly.x(), tau_val))).scale(-2)
-    return _ONE_MINUS_Z2 * tau_val, b, _ONE_MINUS_Z2 * dt.differentiate()
+    return FixedOperands(
+        (_ONE_MINUS_Z2 * tau_val, b, _ONE_MINUS_Z2 * dt.differentiate(), tau_val)
+    )
 
 
 def t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     """Numerator of the operator applied to p, over denominator tau."""
-    return _apply(_coefficients(tau_val), p)
+    return _apply(_coefficients(tau_val).polys[:3], p)
 
 
 def verify_eigen(key: FamilyKey, i: int) -> bool:
-    """Exact check that the i-th family polynomial has eigenvalue -i(i+1)."""
+    """Exact check that the i-th family polynomial has eigenvalue -i(i+1).
+
+    With (A, B, C) the triple of T(tau), the residual A*P'' + B*P' +
+    (C - lambda*tau)*P is one integer: A, B, C and tau are packed once per
+    slot width for the family, and only P and its derivative digits per index.
+    """
     fam = family(key)
-    a, b, c = _coefficients(fam.tau)
-    residual = _terms((a, b, c - fam.tau.scale(eigenvalue(i))), fam.polynomial(i))
-    return poly_dot_is_zero(residual)
+    # rows weight P, P', P'' in the operands (A, B, C, tau) = (F_0, ..., F_3)
+    rows = ((2, 1), (3, -eigenvalue(i))), ((1, 1),), ((0, 1),)
+    return _coefficients(fam.tau).is_zero(((fam.polynomial(i), rows),))
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,9 @@ def _ba(tau_a: Poly, tau_b: Poly, phi: Poly) -> _Triple:
 
 
 @lru_cache(maxsize=2)  # every index of a step shares it
-def _intertwiner(tau0: Poly, tau1: Poly, phi: Poly) -> tuple[_Triple, Poly]:
-    """BA(tau0, tau1, phi) and phi * tau0^2."""
-    return _ba(tau0, tau1, phi), phi * tau0 * tau0
+def _intertwiner(tau0: Poly, tau1: Poly, phi: Poly) -> FixedOperands:
+    """BA(tau0, tau1, phi), then phi * tau0^2, packed once per width."""
+    return FixedOperands((*_ba(tau0, tau1, phi), phi * tau0 * tau0))
 
 
 def _ab(tau_val: Poly, phi: Poly) -> _Triple:
@@ -186,7 +193,7 @@ def _ab(tau_val: Poly, phi: Poly) -> _Triple:
 
 def _factor_difference(tau_val: Poly, phi: Poly, lam: int) -> _Triple:
     """phi*tau * (T - lambda) minus B(phi, tau) A(tau, phi), over phi * tau^2."""
-    a, b, c = _coefficients(tau_val)
+    a, b, c, _ = _coefficients(tau_val).polys
     ba2, ba1, ba0 = _ba(tau_val, tau_val, phi)
     pt = phi * tau_val
     return pt * a - ba2, pt * b - ba1, pt * (c - tau_val.scale(lam)) - ba0
@@ -250,7 +257,9 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
 
         BA(tau, tau_m) pi_i - (lambda_i - lambda_m) * (phi * tau^2) * pi_{m;i}
 
-    is one ``poly_dot_is_zero`` of four products.
+    is one zero test of four products: the B A triple and phi * tau^2 are
+    packed once per slot width for the step, and only pi_i, its derivative
+    digits and pi_{m;i} per index.
     """
     if i == m_step:
         raise ValueError("intertwining check requires i distinct from the step level")
@@ -258,5 +267,7 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
     pi_i = exceptional_poly(base, i)
     pi_mi = exceptional_poly(key, i)
     factor = eigenvalue(i) - eigenvalue(m_step)
-    ba, phi_tau0_sq = _intertwiner(tau0, tau1, phi)
-    return poly_dot_is_zero(_terms(ba, pi_i) + ((phi_tau0_sq, pi_mi.scale(-factor)),))
+    # rows weight f, f', f'': the triple (F_0, F_1, F_2) on pi_i, F_3 on pi_{m;i}
+    rows = ((2, 1),), ((1, 1),), ((0, 1),)
+    pi_terms = (pi_i, rows), (pi_mi, (((3, -factor),),))
+    return _intertwiner(tau0, tau1, phi).is_zero(pi_terms)

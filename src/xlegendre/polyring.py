@@ -28,9 +28,12 @@ x)`` is the value of that sum at a point without the product: one integer
 Horner pass per factor (the loop ``Poly.evaluate`` runs too), one integer
 numerator over one denominator, one ``Fraction``.  An overlap evaluated at
 z = 1 reads its numerator this way and never builds it.
-``poly_dot_is_zero(terms)`` asks only whether the sum is zero: it shares
-``poly_dot``'s pass over the terms and stops at the packed integer, the
-sum's value at z = 2^w, which is zero exactly when every coefficient is
+``FixedOperands`` holds polynomials that many zero tests share (an
+operator's coefficients) over one denominator, and keeps their Kronecker
+packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
+fixed operands times varying polynomials and their derivatives is zero: it
+packs only the varying digits and stops at the packed integer, the sum's
+value at z = 2^w, which is zero exactly when every coefficient is
 (Kronecker comment below).  The eigen and intertwining residuals
 (``operators``) are one such integer each.
 
@@ -63,7 +66,7 @@ __all__ = [
     "rat_str",
     "poly_dot",
     "poly_dot_at",
-    "poly_dot_is_zero",
+    "FixedOperands",
     "poly_gcd",
     "remainder_sequence",
 ]
@@ -127,10 +130,14 @@ def _content(nums: Iterable[int], g: int = 0) -> int:
 # and unpacks once; a single product is the sum with one term.  Below the
 # cutoff it adds each f_k*a_i*b_j into the output, a_i from the shorter operand.
 #
-# ``poly_dot_is_zero`` stops at the packed sum.  The slots leave every digit
-# below 2^(w-2) in absolute value, so a nonzero top digit c_t outweighs all
-# digits below it, |sum_{j<t} c_j 2^(w*j)| < 2^(w*t): the integer is zero
-# exactly when every coefficient of the sum is.
+# ``FixedOperands.is_zero`` stops at the packed sum.  The slots leave every
+# digit of the sum below 2^(w-2) in absolute value, so a nonzero top digit c_t
+# outweighs all digits below it, |sum_{j<t} c_j 2^(w*j)| < 2^(w*t): the
+# integer is zero exactly when every coefficient of the sum is.  The slots
+# must also hold every digit of every operand packed, a fixed operand whose
+# partner is zero included, or ``_pack`` raises.  A slot wider than needed is
+# still exact: both conditions only ask for a lower bound on w, so packs kept
+# at one width serve every sum that width holds.
 # ---------------------------------------------------------------------------
 
 _SCHOOLBOOK_CUTOFF = 900  # product of operand lengths below which looping wins
@@ -542,15 +549,14 @@ _ONE = Poly([1])
 _X = Poly([0, 1])
 
 
-def _dot_pairs(terms: Iterable[tuple[Poly, Poly]]) -> tuple[list, int, int, int]:
-    """The one pass over ``terms`` behind ``poly_dot`` and ``poly_dot_is_zero``.
+def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The sum of ``a * b`` over the pairs in ``terms``, normalized once.
 
-    Returns (pairs, den, n_out, work): each product with two nonzero factors
-    as (shorter nums, longer nums, its denominator), the least common
-    denominator of the products, the length of the sum and the schoolbook
-    work, the summed products of operand lengths.
+    Every product is brought to the least common denominator of the
+    products' denominators; large sums take one Kronecker product per term
+    in a shared slot width and one unpack (see the Kronecker comment above).
     """
-    pairs = []
+    pairs = []  # each product with two nonzero factors: (shorter, longer, den)
     den = 1
     n_out = work = 0
     for a, b in terms:
@@ -563,31 +569,6 @@ def _dot_pairs(terms: Iterable[tuple[Poly, Poly]]) -> tuple[list, int, int, int]
             den = math.lcm(den, d)
             n_out = max(n_out, len(an) + len(bn) - 1)
             work += len(an) * len(bn)
-    return pairs, den, n_out, work
-
-
-def _packed_sum(pairs: list, den: int) -> tuple[int, int]:
-    """(sum_k f_k * pack(a_k) * pack(b_k), slot_bytes) with f_k = den // d_k,
-    in slots that hold the sum's largest digit."""
-    bound = sum(
-        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
-        for an, bn, d in pairs
-    )
-    slot_bytes = _slot_bytes(bound)
-    total = sum(
-        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
-    )
-    return total, slot_bytes
-
-
-def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """The sum of ``a * b`` over the pairs in ``terms``, normalized once.
-
-    Every product is brought to the least common denominator of the
-    products' denominators; large sums take one Kronecker product per term
-    in a shared slot width and one unpack (see the Kronecker comment above).
-    """
-    pairs, den, n_out, work = _dot_pairs(terms)
     if not pairs:
         return _ZERO
     if work <= _SCHOOLBOOK_CUTOFF:
@@ -601,20 +582,82 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
                         if bj:
                             out[k] += fa * bj
         return Poly._raw(out, den)
-    total, slot_bytes = _packed_sum(pairs, den)
+    bound = sum(
+        (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
+        for an, bn, d in pairs
+    )
+    slot_bytes = _slot_bytes(bound)
+    total = sum(
+        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
+    )
     return Poly._raw(_unpack(total, n_out, slot_bytes), den)
 
 
-def poly_dot_is_zero(terms: Iterable[tuple[Poly, Poly]]) -> bool:
-    """Whether ``poly_dot(terms)`` is the zero polynomial, without building it.
+# (k, w) pairs: the integer weight w of the fixed operand F_k
+_Row = Sequence[tuple[int, int]]
 
-    The sum is one integer, its value at z = 2^w in the slots ``poly_dot``
-    would use, and it is zero exactly when every coefficient is (see the
-    Kronecker comment above).  No polynomial is built, nothing is unpacked
-    and nothing is normalized, at any size.
+
+class FixedOperands:
+    """Polynomials F_0, F_1, ... over one denominator, packed once per slot
+    width, for zero tests of the sums they make with varying polynomials.
+
+    ``polys`` are the operands as given.  ``is_zero(terms)`` tests one sum
+    (Kronecker comment above); the packs of the F_k are kept by slot width,
+    so a caller that holds this object across many tests packs them once
+    per width, and each test packs only its varying digits.
     """
-    pairs, den, _, _ = _dot_pairs(terms)
-    return not pairs or not _packed_sum(pairs, den)[0]
+
+    __slots__ = ("polys", "_nums", "_bounds", "_bound", "_packs")
+
+    def __init__(self, polys: Iterable[Poly]):
+        self.polys = tuple(polys)
+        den = math.lcm(*(p._den for p in self.polys))
+        self._nums = [[v * (den // p._den) for v in p._nums] for p in self.polys]
+        self._bounds = [max(map(abs, n), default=0) for n in self._nums]
+        self._bound = max(self._bounds, default=0)
+        self._packs: dict[int, list[int]] = {}
+
+    def is_zero(self, terms: Iterable[tuple[Poly, Sequence[_Row]]]) -> bool:
+        """Whether the sum over ``(f, rows)`` in ``terms`` and over r of
+
+            (sum of w * F_k over (k, w) in rows[r]) * f^(r)
+
+        is the zero polynomial.  The digits of f^(r) are read from f's integer
+        numerators (k * a_k, then k * (k - 1) * a_k, ...) with no
+        polynomial built; the sum is one integer, its value at z = 2^w.
+        """
+        terms = tuple(terms)
+        den = math.lcm(*(f._den for f, _ in terms))
+        nums, bounds = self._nums, self._bounds
+        products = []  # (den // f's denominator, row, digits of f^(r))
+        bound = 0  # the sum's largest digit
+        widest = self._bound  # the largest digit packed
+        for f, rows in terms:
+            s = den // f._den
+            v = f._nums
+            for r, row in enumerate(rows):
+                if r:
+                    v = [k * v[k] for k in range(1, len(v))]
+                if not v:
+                    break
+                mu = lu = 0
+                for k, w in row:
+                    mu += abs(w) * bounds[k]
+                    lu = max(lu, len(nums[k]))
+                if mu:
+                    mv = max(map(abs, v))
+                    widest = max(widest, mv)
+                    bound += s * mu * mv * min(lu, len(v))
+                    products.append((s, row, v))
+        slot_bytes = _slot_bytes(max(bound, widest))
+        packs = self._packs.get(slot_bytes)
+        if packs is None:
+            packs = self._packs[slot_bytes] = [_pack(n, slot_bytes) for n in nums]
+        total = 0
+        for s, row, v in products:
+            u = sum(w * packs[k] for k, w in row)
+            total += s * u * _pack(v, slot_bytes)
+        return not total
 
 
 def poly_dot_at(terms: Iterable[tuple[Poly, Poly]], x: RatLike) -> Fraction:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Literal
 
 from xlegendre import FamilyKey, Poly, PolyMatrix, RatFun, operators, overlap_R
+from xlegendre.polyring import FixedOperands
 from xlegendre.xfamily import _q_raw, _tau_raw, _xpoly_raw
 
 
@@ -47,6 +48,15 @@ def cofactor_det(mat: PolyMatrix) -> Poly:
         term = row[0] * cofactor_det(minor)
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
+
+
+def poly_dot_is_zero(terms) -> bool:
+    """Whether ``poly_dot(terms)`` is zero, through ``FixedOperands.is_zero``:
+    the first factors of the pairs are the fixed operands, and each second
+    factor is the varying polynomial of its own term, with weight 1."""
+    terms = list(terms)
+    fixed = FixedOperands(a for a, _ in terms)
+    return fixed.is_zero((b, (((k, 1),),)) for k, (_, b) in enumerate(terms))
 
 
 def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:

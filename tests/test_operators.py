@@ -3,16 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from xlegendre import (
     FamilyKey,
     Poly,
     RatFun,
+    canonicalize,
     eigenvalue,
     exceptional_poly,
+    family,
     legendre_poly,
     overlap_R,
+    poly_dot,
     recursive_family,
     tau,
     verify_eigen,
@@ -21,7 +24,9 @@ from xlegendre import (
     wronskian,
 )
 from xlegendre import operators, xfamily
+from xlegendre.admissibility import admissibility_formula
 from xlegendre.operators import FactorizationReport, IdentityCheck, t_hat_numerator
+from xlegendre.polyring import FixedOperands
 
 from helpers import (
     OperatorSpec,
@@ -30,6 +35,7 @@ from helpers import (
     apply_first_order,
     b_op,
     full_lattice,
+    poly_dot_is_zero,
     rodrigues_legendre,
     sparse_poly,
     unfused_t_hat_numerator,
@@ -228,6 +234,56 @@ def test_verify_eigen_rejects_a_perturbed_family_polynomial(monkeypatch):
             assert not any(verify_eigen(key, i) for i in range(5)), (c, k)
 
 
+def _eigen_by_built_terms(key, i):
+    """verify_eigen from the built residual terms, (A, P''), (B, P'), (C - lambda*tau, P),
+    as one zero test with fresh packs and as the built polynomial."""
+    fam = family(key)
+    a, b, c, t = operators._coefficients(fam.tau).polys
+    p = fam.polynomial(i)
+    dp = p.differentiate()
+    terms = [(a, dp.differentiate()), (b, dp), (c - t.scale(eigenvalue(i)), p)]
+    zero = poly_dot(terms).is_zero
+    assert poly_dot_is_zero(terms) is zero
+    return zero
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        FamilyKey.classical(),  # tau = 1, so C = 0
+        FamilyKey((1,), (F(-3),)),  # tau = -z^3
+        FamilyKey((2, 5), (F(1021, 1024), F(-1023, 1019))),  # parameter height 1024
+    ],
+    ids=["classical", "tau_minus_z3", "height_1024"],
+)
+def test_verify_eigen_slots_hold_every_packed_operand(monkeypatch, key):
+    # i = 0 and 1 leave P'' or P' zero, so a fixed operand can be packed with
+    # no partner; P + c*z^k moves the widths up and down, and running the
+    # indices both ways reuses packs at one width and adds others
+    original = xfamily.XFamily.polynomial
+    shifts = [Poly.monomial(k, c) for c in (F(1), F(1, 10**40), F(10**30)) for k in (0, 1, 4, 20)]
+    for shifted in (None, *shifts):
+        if shifted is not None:
+            monkeypatch.setattr(
+                xfamily.XFamily, "polynomial", lambda fam, i, s=shifted: original(fam, i) + s
+            )
+        for indices in (range(13), range(12, -1, -1)):
+            got = [verify_eigen(key, i) for i in indices]
+            assert got == [_eigen_by_built_terms(key, i) for i in indices], shifted
+            assert all(got) if shifted is None else not all(got), shifted
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_eigen_packs_follow_coefficients(monkeypatch, order):
+    # the packs live on what _coefficients returns: with the unperturbed
+    # operands cached and packed, a perturbed triple must not read their packs
+    key = FamilyKey((1, 2), (F(2), F(-8, 5)))
+    indices = range(order, 9)
+    assert all(verify_eigen(key, i) for i in indices)
+    _perturb_t_hat(order)(monkeypatch)
+    assert not any(verify_eigen(key, i) for i in indices)
+
+
 def test_eigen_identity_fails_for_wrong_eigenvalue():
     key = FamilyKey((3,), (F(7, 2),))
     fam_tau = tau(key)
@@ -369,9 +425,9 @@ def _perturb_t_hat(order):
         original = operators._coefficients
 
         def perturbed(tau_val):
-            triple = list(original(tau_val))
-            triple[2 - order] = triple[2 - order] + Poly.one()
-            return tuple(triple)
+            polys = list(original(tau_val).polys)
+            polys[2 - order] = polys[2 - order] + Poly.one()
+            return FixedOperands(polys)
 
         monkeypatch.setattr(operators, "_coefficients", perturbed)
 
@@ -392,3 +448,67 @@ def test_polynomial_identities_match_ratfun_oracle_on_counterexamples(
     report = verify_factorization(keys[-1], keys[-1].m[-1])
     failing = [c.counterexample_probe for c in report.checks if not c.passed]
     assert failing and min(failing, key=lambda p: p.degree) == Poly.monomial(first_failure)
+
+
+# -- eigen and intertwining zero tests against independent oracles -----------
+
+_oracle_property_keys = (
+    st.integers(1, 3)
+    .flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n, unique=True),
+            st.lists(
+                st.fractions(min_value=-5, max_value=9, max_denominator=1024),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+    .map(lambda mt: canonicalize(FamilyKey(tuple(mt[0]), tuple(mt[1]))))
+    .filter(lambda key: key.n and admissibility_formula(key))
+)
+# None, or P + c*z^k in place of every family polynomial P
+_shifts = st.one_of(
+    st.none(),
+    st.builds(
+        Poly.monomial,
+        st.integers(0, 20),
+        st.sampled_from([F(1), F(-3, 7), F(1, 10**40), F(10**30)]),
+    ),
+)
+
+
+def _shifted_polynomials(mp, shifted):
+    if shifted is not None:
+        original = xfamily.XFamily.polynomial
+        mp.setattr(xfamily.XFamily, "polynomial", lambda fam, i: original(fam, i) + shifted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_oracle_property_keys, st.integers(0, 12), _shifts)
+@example(FamilyKey((3,), (F(7, 2),)), 0, None)
+@example(FamilyKey((3,), (F(7, 2),)), 0, Poly.monomial(1, F(10**30)))
+def test_verify_eigen_matches_unfused_oracle(key, i, shifted):
+    with pytest.MonkeyPatch.context() as mp:
+        _shifted_polynomials(mp, shifted)
+        fam = family(key)
+        p = fam.polynomial(i)
+        want = unfused_t_hat_numerator(fam.tau, p) == (p * fam.tau).scale(eigenvalue(i))
+        assert verify_eigen(key, i) is want
+        if shifted is None:
+            assert want
+
+
+@settings(max_examples=30, deadline=None)
+@given(_oracle_property_keys, st.integers(0, 2), st.integers(0, 12), _shifts)
+@example(FamilyKey((2, 5), (F(1), F(7, 2))), 1, 3, None)
+@example(FamilyKey((2, 5), (F(1), F(7, 2))), 1, 3, Poly.monomial(4, F(1, 10**40)))
+def test_verify_intertwining_matches_ratfun_oracle(key, step, i, shifted):
+    m_step = key.m[step % key.n]
+    assume(i != m_step)
+    with pytest.MonkeyPatch.context() as mp:
+        _shifted_polynomials(mp, shifted)
+        want = _oracle_intertwining(key, m_step, i)
+        assert verify_intertwining(key, m_step, i) is want
+        if shifted is None:
+            assert want

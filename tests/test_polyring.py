@@ -15,15 +15,16 @@ from xlegendre import (
     poly_gcd,
     rat_str,
 )
+from xlegendre import polyring
 from xlegendre.polyring import (
     _SCHOOLBOOK_CUTOFF,
+    FixedOperands,
     _pack,
     _unpack,
     poly_dot_at,
-    poly_dot_is_zero,
 )
 
-from helpers import fraction_antiderivative, fraction_divmod, sparse_poly
+from helpers import fraction_antiderivative, fraction_divmod, poly_dot_is_zero, sparse_poly
 
 rats = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rats, min_size=0, max_size=6).map(Poly)
@@ -371,6 +372,58 @@ def test_poly_dot_is_zero_slots_hold_the_largest_digit(bits):
     ):
         assert not poly_dot_is_zero(terms) and not poly_dot(terms).is_zero
     assert poly_dot_is_zero([(top, top)] * 8 + [(top, -top)] * 8)
+
+
+_weights = st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=2)
+
+
+@given(
+    st.lists(any_polys, min_size=1, max_size=4),
+    st.lists(st.tuples(any_polys, st.lists(_weights, max_size=3)), max_size=3),
+    st.booleans(),
+)
+@example([Poly([1])], [], False)
+@example([Poly([2**200])], [(Poly([1, 2]), [[], [(0, 3)]])], True)
+def test_fixed_operands_zero_test_matches_built_sum(fixed, terms, cancel):
+    # rows[r] weights the fixed operands against f^(r); cancel enters every
+    # term again with its weights negated, so the sum is zero
+    terms = [
+        (f, tuple(tuple((k % len(fixed), w) for k, w in row) for row in rows))
+        for f, rows in terms
+    ]
+    if cancel:
+        terms += [(f, tuple(tuple((k, -w) for k, w in row) for row in rows)) for f, rows in terms]
+    built = []
+    for f, rows in terms:
+        for row in rows:
+            built.append((sum((fixed[k].scale(w) for k, w in row), Poly.zero()), f))
+            f = f.differentiate()
+    got = FixedOperands(fixed).is_zero(terms)
+    assert got is poly_dot(built).is_zero
+    if cancel:
+        assert got
+
+
+def test_fixed_operands_slots_hold_operands_without_a_partner():
+    # F_0 = 10^30 meets the zero derivative of a constant, so the sum's digit
+    # bound does not cover it; it is packed all the same, in a slot that holds it
+    rows = (((1, 1), (2, 1)), ((0, 1),))
+    for fixed, zero in (((10**30, 1, -1), True), ((10**30, 1, 0), False)):
+        operands = FixedOperands(Poly([c]) for c in fixed)
+        assert operands.is_zero([(Poly([3]), rows)]) is zero
+
+
+def test_fixed_operands_pack_once_per_slot_width(monkeypatch):
+    # the classical operator minus lambda_2 = -6: A = 1-z^2, B = -2z, C = 0, tau = 1
+    operands = FixedOperands((Poly([1, 0, -1]), Poly([0, -2]), Poly.zero(), Poly.one()))
+    rows = (((2, 1), (3, 6)), ((1, 1),), ((0, 1),))
+    packed = []
+    real = polyring._pack
+    monkeypatch.setattr(polyring, "_pack", lambda nums, sb: packed.append(sb) or real(nums, sb))
+    assert operands.is_zero([(Poly([-1, 0, 3]), rows)])  # 2 * P_2
+    assert len(packed) == 4 + 3  # the four operands, then P, P', P''
+    assert not operands.is_zero([(Poly([1, 0, 3]), rows)])
+    assert len(packed) == 7 + 3 and len(set(packed)) == 1  # the same slot: P, P', P'' only
 
 
 @pytest.mark.parametrize("slot_bytes", [1, 2, 8, 33])
