@@ -15,11 +15,11 @@ disagreement is a hard error, never a silent preference.  Since tau(-1) = 1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .polyring import Poly, Rat, RatLike, remainder_sequence
+from .record import Record
 from .xfamily import FamilyKey, canonicalize, family, tau
 
 __all__ = [
@@ -42,8 +42,7 @@ class InadmissibleKeyError(ValueError):
     """Operation requires an admissible key (weight finite on [-1, 1])."""
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(Record):
     """Sign-variation chain: p, p', then negated remainders down to the gcd.
 
     The chain is ``remainder_sequence(p, p')``: every element is its
@@ -95,8 +94,7 @@ def admissibility_formula(key: FamilyKey) -> bool:
     return all(t > -Fraction(2 * m + 1, 2) for m, t in zip(key.m, key.t))
 
 
-@dataclass(frozen=True)
-class AdmissibilityRecord:
+class AdmissibilityRecord(Record):
     """Formula verdict next to the Sturm root count of tau on [-1, 1]."""
 
     key: FamilyKey
@@ -159,8 +157,9 @@ def norm_table(key: FamilyKey, max_i: int) -> dict[int, Fraction]:
     return {i: norm_of(key, i) for i in range(max_i + 1)}
 
 
-@dataclass(frozen=True)
-class OrthogonalityEntry:
+class OrthogonalityEntry(Record):
+    """One overlap at z = 1 against the value the norm formulas expect."""
+
     i1: int
     i2: int
     expected: Fraction
@@ -180,8 +179,9 @@ class OrthogonalityEntry:
         }
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(Record):
+    """Every overlap of a key up to ``max_index``, checked at z = 1."""
+
     key: FamilyKey
     max_index: int
     entries: tuple[OrthogonalityEntry, ...]

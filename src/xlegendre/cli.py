@@ -19,7 +19,6 @@ exit 2 before any family is built.
 from __future__ import annotations
 
 import contextlib
-import csv
 import decimal
 import json
 import sys
@@ -173,6 +172,8 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> N
             payload["original"] = original.to_json_obj()
         _write_output(json.dumps(payload, indent=2) + "\n", out)
     else:
+        import csv  # here, not at the top: every CLI start would pay for it
+
         # one row at a time: at a high index the text outweighs the polynomials
         with _output(out) as fh:
             writer = csv.writer(fh)
@@ -350,6 +351,8 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
     if not admissibility_formula(key):
         click.echo("inadmissible parameters: weight has poles on [-1, 1]", err=True)
         sys.exit(EXIT_INADMISSIBLE)
+    import csv
+
     tau_val = tau(key)
     step = Fraction(2, samples - 1)
     with _output(out) as fh:

@@ -45,10 +45,10 @@ for the triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyring import FixedOperands, Poly, poly_dot
+from .record import Record
 from .xfamily import FamilyKey, exceptional_poly, family, tau
 
 __all__ = [
@@ -113,8 +113,9 @@ def verify_eigen(key: FamilyKey, i: int) -> bool:
     return _coefficients(fam.tau).is_zero(((fam.polynomial(i), rows),))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
+    """One operator identity; when it fails, the probe z^k its difference fails on."""
+
     identity: str
     passed: bool
     counterexample_probe: Poly | None
@@ -133,8 +134,9 @@ class IdentityCheck:
         }
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(Record):
+    """The factorization identities of one Darboux step of a key."""
+
     key: FamilyKey
     step_level: int
     probe_degree: int

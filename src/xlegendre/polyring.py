@@ -424,10 +424,12 @@ class Poly:
         nums = self._nums
         if not nums:
             return _ZERO
-        # over den * lcm(1..len), the coefficient of z^(k+1) is an integer
-        lcm = math.lcm(*range(1, len(nums) + 1))
+        # the coefficient of z^k is (n/g) / (den * k/g) with g = gcd(n, k), so
+        # over den * lcm(k/g), the least common denominator, it is an integer
+        gs = [math.gcd(n, k) for k, n in enumerate(nums, 1)]
+        lcm = math.lcm(*[k // g for k, g in enumerate(gs, 1)])
         out = [0]
-        out.extend(n * (lcm // (k + 1)) for k, n in enumerate(nums))
+        out.extend(n // g * (lcm * g // k) for k, (n, g) in enumerate(zip(nums, gs), 1))
         out[0] = sum(out[1::2]) - sum(out[2::2])  # -F(-1) of the integral part
         return Poly._raw(out, self._den * lcm)
 

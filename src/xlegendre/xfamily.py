@@ -38,13 +38,13 @@ codimension).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import legendre_poly, overlap_R
 from .polyring import Poly, RatLike, _rat, poly_dot, rat_str
 from .ratfun import RatFun
+from .record import Record
 
 __all__ = [
     "FamilyKey",
@@ -63,9 +63,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyKey:
-    """Deformation levels ``m`` paired with exact rational parameters ``t``."""
+class FamilyKey(Record):
+    """Deformation levels ``m`` paired with exact rational parameters ``t``.
+
+    The hash of ``(m, t)`` is taken once, at construction: every ``family``
+    lookup hashes its key, and hashing a ``Fraction`` takes a modular inverse.
+    """
 
     m: tuple[int, ...]
     t: tuple[Fraction, ...]
@@ -77,8 +80,15 @@ class FamilyKey:
             raise ValueError("level tuple and parameter tuple differ in length")
         if any(v < 0 for v in m):
             raise ValueError("levels must be non-negative integers")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "t", t)
+        self.__dict__.update(m=m, t=t, _hash=hash((m, t)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.t == other.t
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, m: Sequence[int] = (), t: Sequence[RatLike] = ()) -> "FamilyKey":
@@ -418,8 +428,7 @@ class OverlapMap(Mapping):
         return len(self._pairs)
 
 
-@dataclass(frozen=True)
-class RecursiveFamily:
+class RecursiveFamily(Record):
     """Result of running the deformation chain level by level."""
 
     key: FamilyKey

@@ -10,7 +10,13 @@ from xlegendre import Poly, classical_norm, legendre_poly, overlap_R
 from xlegendre.legendre import LegendreCache
 from xlegendre.operators import eigenvalue
 
-from helpers import OperatorSpec, apply_T_hat, rodrigues_legendre, sparse_poly
+from helpers import (
+    OperatorSpec,
+    apply_T_hat,
+    fraction_antiderivative,
+    rodrigues_legendre,
+    sparse_poly,
+)
 
 
 def test_recurrence_goldens():
@@ -64,6 +70,16 @@ def test_overlap_defining_properties():
             assert r.evaluate(-1) == 0
             assert r.degree == i1 + i2 + 1
             assert overlap_R(i2, i1) == r
+
+
+def test_overlaps_to_index_130_match_fraction_antiderivative():
+    # the integer kernel's least common denominator against one Fraction per
+    # coefficient, at the sizes `gen` reaches
+    for i in range(131):
+        for m in range(6):
+            got = overlap_R(i, m)
+            want = fraction_antiderivative(legendre_poly(i) * legendre_poly(m))
+            assert (got._nums, got._den) == (want._nums, want._den), (i, m)
 
 
 def test_orthogonality_at_one_up_to_12():
