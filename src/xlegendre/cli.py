@@ -14,18 +14,22 @@ in rendered output.
 Input whose cost the caps below do not bound (too many levels, too high a
 degree of tau, too high an index, too many samples or digits) is refused with
 exit 2 before any family is built.
+
+``main`` parses ``sys.argv[1:]``; ``main.main(argv)`` is the same function,
+the in-process entry point.  Either always ends in ``SystemExit`` with the
+exit code.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import decimal
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Iterator, TextIO
-
-import click
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .admissibility import (
     InadmissibleKeyError,
@@ -70,11 +74,30 @@ _M_HELP = (f"Comma-separated levels (may be empty; at most {MAX_LEVELS}, "
            f"with deg tau = 2*sum(m) + n at most {MAX_TAU_DEGREE}).")
 
 
+class UsageError(Exception):
+    """Input refused with exit 2 after the command line was parsed."""
+
+
+def _int_range(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {lo}<=x<={hi}")
+        return value
+
+    return convert
+
+
 def _parse_key(m_str: str, t_str: str) -> FamilyKey:
     m_items = [s for s in (m_str or "").split(",") if s.strip() != ""]
     t_items = [s for s in (t_str or "").split(",") if s.strip() != ""]
     if len(m_items) > MAX_LEVELS:
-        raise click.UsageError(f"invalid family key: at most {MAX_LEVELS} levels")
+        raise UsageError(f"invalid family key: at most {MAX_LEVELS} levels")
     try:
         m = tuple(int(s) for s in m_items)
         t = tuple(parse_rat(s) for s in t_items)
@@ -86,7 +109,7 @@ def _parse_key(m_str: str, t_str: str) -> FamilyKey:
             raise ValueError("--m and --t must have the same number of entries")
         return FamilyKey(m, t)
     except ValueError as exc:
-        raise click.UsageError(f"invalid family key: {exc}") from exc
+        raise UsageError(f"invalid family key: {exc}") from exc
 
 
 def _parse_indices(spec_str: str) -> list[int]:
@@ -104,7 +127,7 @@ def _parse_indices(spec_str: str) -> list[int]:
             raise ValueError
         return items
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"invalid index range: {spec_str!r} (indices 0..{MAX_GEN_INDEX})"
         ) from None
 
@@ -131,23 +154,7 @@ def _decimal_str(value: Fraction, precision: int) -> str:
     )
 
 
-@click.group()
-def main() -> None:
-    """Exact constructor and verifier for exceptional Legendre families."""
-
-
-@main.command("gen")
-@click.option("--m", "m_str", default="", help=_M_HELP)
-@click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option(
-    "--i",
-    "i_spec",
-    default="0..5",
-    help=f"Indices: 'a..b', list, or single; each at most {MAX_GEN_INDEX}.",
-)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", default=None, help="Output path (default stdout).")
-def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> None:
+def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> int:
     """Generate tau, family polynomials, degrees, norms for one key."""
     original = _parse_key(m_str, t_str)
     key = canonicalize(original)
@@ -182,6 +189,7 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> N
             for i in indices:
                 p = exceptional_poly(key, i)
                 writer.writerow([f"P[{i}]", int(p.degree), *p.to_json()])
+    return EXIT_OK
 
 
 def _suite_eigen(key: FamilyKey, max_i: int) -> dict:
@@ -276,25 +284,7 @@ _SUITE_RUNNERS = {
 }
 
 
-@main.command("verify")
-@click.option("--m", "m_str", default="", help=_M_HELP)
-@click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option(
-    "--max-i",
-    "max_i",
-    default=8,
-    show_default=True,
-    type=click.IntRange(0, MAX_CHECK_INDEX),
-    help="Largest polynomial index checked.",
-)
-@click.option(
-    "--suites",
-    default="all",
-    show_default=True,
-    help=f"Comma list from {{{','.join(ALL_SUITES)}}} or 'all'.",
-)
-@click.option("--out", default=None, help="Report path (default stdout).")
-def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None) -> None:
+def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None) -> int:
     """Run verification suites; exit 0 only if every selected check passes."""
     original = _parse_key(m_str, t_str)
     key = canonicalize(original)
@@ -304,7 +294,7 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
         selected = [s.strip() for s in suites.split(",") if s.strip()]
         unknown = [s for s in selected if s not in _SUITE_RUNNERS]
         if unknown or not selected:
-            raise click.UsageError(f"unknown suites: {', '.join(unknown) or '(none)'}")
+            raise UsageError(f"unknown suites: {', '.join(unknown) or '(none)'}")
 
     report: dict = {"key": key.to_json_obj(), "max_i": max_i, "suites": {}}
     if original != key:
@@ -319,7 +309,7 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
             "error": "inadmissible parameters: weight has poles on [-1, 1]",
         }
         _write_output(json.dumps(report, indent=2) + "\n", out)
-        sys.exit(EXIT_INADMISSIBLE)
+        return EXIT_INADMISSIBLE
 
     ok = True
     for name in selected:
@@ -328,29 +318,15 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
         ok = ok and suite_report["pass"]
     report["pass"] = ok
     _write_output(json.dumps(report, indent=2) + "\n", out)
-    sys.exit(EXIT_OK if ok else EXIT_VERIFICATION_FAILED)
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-@main.command("weight")
-@click.option("--m", "m_str", default="", help=_M_HELP)
-@click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option(
-    "--samples",
-    default=1001,
-    show_default=True,
-    type=click.IntRange(2, MAX_SAMPLES),
-    help="Grid points on [-1, 1], both ends included.",
-)
-@click.option("--out", default=None, help="CSV path (default stdout).")
-@click.option("--precision", default=17, show_default=True,
-              type=click.IntRange(1, MAX_PRECISION),
-              help="Significant digits for rendered values.")
-def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision: int) -> None:
+def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision: int) -> int:
     """Sample the weight 1/tau^2 on a uniform rational grid over [-1, 1]."""
     key = canonicalize(_parse_key(m_str, t_str))
     if not admissibility_formula(key):
-        click.echo("inadmissible parameters: weight has poles on [-1, 1]", err=True)
-        sys.exit(EXIT_INADMISSIBLE)
+        print("inadmissible parameters: weight has poles on [-1, 1]", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     import csv
 
     tau_val = tau(key)
@@ -362,21 +338,10 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
             z = -1 + step * k
             w = 1 / tau_val.evaluate(z) ** 2
             writer.writerow([_decimal_str(v, precision) for v in (z, w)])
+    return EXIT_OK
 
 
-@main.command("degrees")
-@click.option("--m", "m_str", default="", help=_M_HELP)
-@click.option("--t", "t_str", default="", help="Comma-separated rational parameters.")
-@click.option(
-    "--max-i",
-    "max_i",
-    default=12,
-    show_default=True,
-    type=click.IntRange(0, MAX_CHECK_INDEX),
-    help="Largest polynomial index checked.",
-)
-@click.option("--out", default=None, help="Output path (default stdout).")
-def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> None:
+def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> int:
     """Tabulate predicted vs. actual degrees and the missing-degree set."""
     key = canonicalize(_parse_key(m_str, t_str))
     report = _suite_degree(key, max_i)
@@ -390,8 +355,96 @@ def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> None:
         f"codimension match: {report['codimension_matches_tau_degree']}"
     )
     _write_output("\n".join(lines) + "\n", out)
-    sys.exit(EXIT_OK if report["pass"] else EXIT_VERIFICATION_FAILED)
+    return EXIT_OK if report["pass"] else EXIT_VERIFICATION_FAILED
 
+
+class _Parser(argparse.ArgumentParser):
+    """A parser with --help (no -h) that refuses abbreviated option names;
+    its subcommand parsers are of the same class."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="xlegendre",
+                     description="Exact constructor and verifier for exceptional "
+                                 "Legendre families.")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(run, out_help: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__.removeprefix("cmd_"), help=run.__doc__,
+                                  description=run.__doc__)
+        sub.add_argument("--m", dest="m_str", default="", metavar="LEVELS", help=_M_HELP)
+        sub.add_argument("--t", dest="t_str", default="", metavar="PARAMS",
+                         help="Comma-separated rational parameters.")
+        sub.add_argument("--out", metavar="PATH", help=out_help)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    max_i_help = ("Largest polynomial index checked, "
+                  f"0..{MAX_CHECK_INDEX} (default: %(default)s).")
+
+    gen = command(cmd_gen, "Output path (default stdout).")
+    gen.add_argument("--i", dest="i_spec", default="0..5", metavar="INDICES",
+                     help=f"Indices: 'a..b', list, or single; each at most {MAX_GEN_INDEX}.")
+    gen.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+
+    verify = command(cmd_verify, "Report path (default stdout).")
+    verify.add_argument("--max-i", type=_int_range(0, MAX_CHECK_INDEX), default=8,
+                        metavar="N", help=max_i_help)
+    verify.add_argument("--suites", default="all", metavar="LIST",
+                        help=f"Comma list from {{{','.join(ALL_SUITES)}}} or 'all' "
+                             "(default: %(default)s).")
+
+    weight = command(cmd_weight, "CSV path (default stdout).")
+    weight.add_argument("--samples", type=_int_range(2, MAX_SAMPLES), default=1001,
+                        metavar="N", help="Grid points on [-1, 1], both ends included, "
+                                          f"2..{MAX_SAMPLES} (default: %(default)s).")
+    weight.add_argument("--precision", type=_int_range(1, MAX_PRECISION), default=17,
+                        metavar="N", help="Significant digits for rendered values, "
+                                          f"1..{MAX_PRECISION} (default: %(default)s).")
+
+    degrees = command(cmd_degrees, "Output path (default stdout).")
+    degrees.add_argument("--max-i", type=_int_range(0, MAX_CHECK_INDEX), default=12,
+                         metavar="N", help=max_i_help)
+    return parser
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """argv with each long option and the token after it joined as
+    ``--opt=value``.  Every option but --help takes one value, the next token,
+    even one that begins with '-' (``--t -1/2``, ``--t -3,1``), which argparse
+    on its own reads as an option."""
+    joined, args = [], iter(argv)
+    for arg in args:
+        if arg.startswith("--") and "=" not in arg and arg not in ("--", "--help"):
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        joined.append(arg)
+    return joined
+
+
+def main(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run ``xlegendre <argv>`` (default ``sys.argv[1:]``) and exit with its code."""
+    options = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    del options["command"]
+    run, parser = options.pop("run"), options.pop("parser")
+    try:
+        code = run(**options)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit 1 without a traceback, and
+        # point stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+main.main = main  # the in-process entry point, as embedding callers spell it
 
 if __name__ == "__main__":
     main()

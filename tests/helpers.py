@@ -3,6 +3,8 @@ and the independent oracles the package is checked against."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -10,8 +12,36 @@ from fractions import Fraction
 from typing import Literal
 
 from xlegendre import FamilyKey, Poly, PolyMatrix, RatFun, operators, overlap_R
+from xlegendre.cli import main
 from xlegendre.polyring import FixedOperands
 from xlegendre.xfamily import _q_raw, _tau_raw, _xpoly_raw
+
+
+@dataclass(frozen=True)
+class CliRun:
+    """Exit code and captured streams of one in-process CLI invocation."""
+
+    exit_code: int
+    output: str  # standard output
+    stderr: str
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.output.encode()
+
+
+def run_cli(*args: str) -> CliRun:
+    """Run ``xlegendre <args>`` in this process through ``main.main``, which
+    always ends in SystemExit; an exception from a command propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        else:
+            raise AssertionError("main.main returned instead of exiting")
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def sparse_poly(pairs: dict[int, int], den: int = 1) -> Poly:

@@ -11,8 +11,6 @@ import json
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 from xlegendre import (
     FamilyKey,
     Poly,
@@ -31,11 +29,10 @@ from xlegendre import (
     verify_factorization,
     verify_intertwining,
 )
-from xlegendre.cli import main as cli_main
 from xlegendre.operators import eigenvalue, t_hat_numerator
 from xlegendre.xfamily import _tau_raw
 
-from helpers import LATTICE_T, full_lattice, raw_xpoly, sparse_poly
+from helpers import LATTICE_T, full_lattice, raw_xpoly, run_cli, sparse_poly
 
 F = Fraction
 
@@ -125,9 +122,8 @@ _TAU4_BRACKET = sparse_poly({0: 64, 1: 81, 3: -540, 5: 1998, 7: -2700, 9: 1225},
 def test_criterion_1_level4_golden_coefficients():
     with _Budget("1 (golden level-4 family)", 1.0):
         for t4 in (F(1), F(26, 5)):
-            result = CliRunner().invoke(
-                cli_main, ["gen", "--m", "4", "--t", f"{t4.numerator}/{t4.denominator}",
-                           "--i", "0..5"]
+            result = run_cli(
+                "gen", "--m", "4", "--t", f"{t4.numerator}/{t4.denominator}", "--i", "0..5"
             )
             assert result.exit_code == 0, result.output
             blob = json.loads(result.output)

@@ -4,21 +4,20 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import xlegendre.cli as cli
 import xlegendre.xfamily as xfamily
+from helpers import run_cli as _run
 from xlegendre import FamilyKey, Poly, exceptional_poly, legendre_poly, norm_of, tau
-from xlegendre.cli import main
 
 F = Fraction
-
-
-def _run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 # -- gen ------------------------------------------------------------------------
@@ -171,9 +170,82 @@ def test_caps_are_stated_in_help():
         ("degrees", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_CHECK_INDEX)),
         ("weight", (cli.MAX_LEVELS, cli.MAX_TAU_DEGREE, cli.MAX_SAMPLES, cli.MAX_PRECISION)),
     ):
-        text = _run(cmd, "--help").output
+        res = _run(cmd, "--help")
+        assert res.exit_code == 0, res.stderr
+        text = res.output
         for cap in caps:
             assert str(cap) in text, (cmd, cap)
+
+
+# -- argument parsing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, t_args",
+    [("0", ("--t", "-1/2")), ("0", ("--t=-1/2",)), ("1,2", ("--t", "-3,1"))],
+)
+def test_value_beginning_with_minus_is_the_option_value(m, t_args):
+    res = _run("verify", "--m", m, *t_args, "--suites", "eigen", "--max-i", "2")
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.output)["pass"] is True
+
+
+# sha256 of the output bytes of a key whose --t list begins with '-'
+_NEGATIVE_T_DIGEST = "70ee14a8b4891a7155b00d6fbf260154528e09957b5bfc7617dcc38966cc8f39"
+
+
+def test_gen_negative_parameters_bytes_pinned():
+    res = _run("gen", "--m", "1,2,3", "--t", "-1,-1,1", "--i", "0..3")
+    assert res.exit_code == 0, res.stderr
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _NEGATIVE_T_DIGEST
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("nope",),
+        ("GEN",),
+        ("-h",),
+        ("verify", "-h"),
+        ("verify", "--max", "3", "--suites", "degree"),
+        ("verify", "--max=3", "--suites", "degree"),
+        ("gen", "--format", "xml"),
+        ("gen", "--i", "0", "extra"),
+        ("gen", "--m"),
+    ],
+)
+def test_malformed_command_line_exits_2(args):
+    res = _run(*args)
+    assert res.exit_code == 2, res.output
+    assert res.output == ""
+
+
+def test_repeated_option_takes_last_value():
+    res = _run("gen", "--m", "5", "--t", "3", "--m", "1", "--t", "1", "--i", "0..1", "--i", "2")
+    assert res.exit_code == 0, res.stderr
+    assert res.output == _run("gen", "--m", "1", "--t", "1", "--i", "2").output
+
+
+def test_module_entry_point_matches_in_process_run():
+    args = ["degrees", "--m", "0", "--t", "-1/2", "--max-i", "3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "xlegendre.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == _run(*args).output
+
+
+def test_closed_stdout_exits_1_quietly():
+    # megabytes of rows: the writer blocks on the pipe until its reader closes it
+    args = ["weight", "--m", "0", "--t", "1", "--samples", str(cli.MAX_SAMPLES)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "xlegendre.cli", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"z,W\r\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 # -- verify ---------------------------------------------------------------------

@@ -172,7 +172,8 @@ def test_family_key_value_errors_unchanged():
 
 def test_cli_import_leaves_dataclasses_and_csv_out():
     # in a fresh interpreter: pytest and hypothesis import dataclasses themselves
-    code = "import sys, xlegendre.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    code = ("import sys, xlegendre.cli; "
+            "print(sorted({'dataclasses', 'csv', 'click'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
