@@ -24,7 +24,6 @@ from .operators import (
     verify_eigen,
     verify_factorization,
     verify_intertwining,
-    wronskian,
 )
 from .polyring import (
     InexactDivisionError,
@@ -94,5 +93,4 @@ __all__ = [
     "verify_eigen",
     "verify_factorization",
     "verify_intertwining",
-    "wronskian",
 ]

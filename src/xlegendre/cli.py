@@ -32,13 +32,11 @@ from fractions import Fraction
 from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .admissibility import (
-    InadmissibleKeyError,
     admissibility_formula,
     admissibility_record,
     norm_of,
     orthogonality_check,
 )
-from .legendre import legendre_poly
 from .operators import verify_eigen, verify_factorization, verify_intertwining
 from .polyring import parse_rat, rat_str
 from .xfamily import (

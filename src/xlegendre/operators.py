@@ -59,7 +59,6 @@ __all__ = [
     "verify_eigen",
     "verify_factorization",
     "verify_intertwining",
-    "wronskian",
 ]
 
 _ONE_MINUS_Z2 = Poly([1, 0, -1])
@@ -72,11 +71,6 @@ _Triple = tuple[Poly, Poly, Poly]
 def eigenvalue(i: int) -> int:
     """Eigenvalue attached to index i: -i(i+1)."""
     return -i * (i + 1)
-
-
-def wronskian(a: Poly, b: Poly) -> Poly:
-    """Wr(a, b) = a*b' - a'*b."""
-    return a * b.differentiate() - a.differentiate() * b
 
 
 def _apply(triple: _Triple, f: Poly) -> Poly:

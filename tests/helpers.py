@@ -98,11 +98,16 @@ def unfused_t_hat_numerator(tau_val: Poly, p: Poly) -> Poly:
     return Poly([1, 0, -1]) * inner - Poly([0, 2]) * dp * tau_val
 
 
+def wronskian(a: Poly, b: Poly) -> Poly:
+    """Wr(a, b) = a*b' - a'*b."""
+    return a * b.differentiate() - a.differentiate() * b
+
+
 def wronskian_ba_numerator(tau_a: Poly, tau_b: Poly, phi: Poly, f: Poly) -> Poly:
     """B(phi, tau_b) A(tau_a, phi) f times phi * tau_a^2, composed through
     the Wronskian W = Wr(phi, f):
     (1-z^2)*[tau_b*(W'*tau_a - W*tau_a') - tau_b'*W*tau_a] - 2*z*tau_b*W*tau_a."""
-    w = operators.wronskian(phi, f)
+    w = wronskian(phi, f)
     w_tau = w * tau_a
     inner = tau_b * (w.differentiate() * tau_a - w * tau_a.differentiate())
     inner = inner - tau_b.differentiate() * w_tau
@@ -112,7 +117,7 @@ def wronskian_ba_numerator(tau_a: Poly, tau_b: Poly, phi: Poly, f: Poly) -> Poly
 def wronskian_ab_numerator(tau_val: Poly, phi: Poly, f: Poly) -> Poly:
     """A(tau, phi) B(phi, tau) f times phi * tau, composed through
     V = (1-z^2)*Wr(tau, f) - 2*z*tau*f:  V'*phi - 2*phi'*V."""
-    v = Poly([1, 0, -1]) * operators.wronskian(tau_val, f) - Poly([0, 2]) * tau_val * f
+    v = Poly([1, 0, -1]) * wronskian(tau_val, f) - Poly([0, 2]) * tau_val * f
     return v.differentiate() * phi - (phi.differentiate() * v).scale(2)
 
 

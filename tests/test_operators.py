@@ -21,7 +21,6 @@ from xlegendre import (
     verify_eigen,
     verify_factorization,
     verify_intertwining,
-    wronskian,
 )
 from xlegendre import operators, xfamily
 from xlegendre.admissibility import admissibility_formula
@@ -39,6 +38,7 @@ from helpers import (
     rodrigues_legendre,
     sparse_poly,
     unfused_t_hat_numerator,
+    wronskian,
     wronskian_ab_numerator,
     wronskian_ba_numerator,
 )

@@ -1,6 +1,7 @@
 """Family construction: canonical keys, matrices, both build routes, degrees."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from xlegendre import (
 )
 from xlegendre import polyring, ratfun, xfamily
 from xlegendre.admissibility import admissibility_formula
-from xlegendre.xfamily import XFamily, _tau_raw, _q_raw
+from xlegendre.xfamily import XFamily, _tau_raw, _q_raw, _xpoly_raw
 
 from helpers import (
     cofactor_det,
@@ -691,3 +692,91 @@ def test_family_polynomial_memoized():
     fam = family(FamilyKey((3,), (F(1),)))
     assert fam.polynomial(2) is fam.polynomial(2)
     assert fam.polynomial(2) == exceptional_poly(fam.key, 2)
+
+
+# -- first-order form of the family polynomials ------------------------------------
+
+_CUTOFF = xfamily._FIRST_ORDER_ABOVE
+
+
+def _sum_form(fam, i):
+    """The determinantal sum tau*P_i + sum_l R(i, m_l)*u_l, the oracle."""
+    return _xpoly_raw(fam.key, i, fam.tau, fam._neg_tq)
+
+
+def _first_order_form(fam, i):
+    return xfamily._first_order(fam.key, fam.tau, fam._neg_tq)(i)
+
+
+_first_order_keys = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True),
+        st.lists(
+            st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+).map(lambda mt: canonicalize(FamilyKey(tuple(mt[0]), tuple(mt[1]))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_first_order_keys)
+def test_first_order_form_equals_determinantal_sum(key):
+    # every index up to the cutoff + 1 (so some lie between two levels, where
+    # pi_i < 0, whenever the levels leave a gap), and one index far above
+    fam = XFamily(key)
+    route = xfamily._first_order(key, fam.tau, fam._neg_tq)
+    for i in [*range(1, _CUTOFF + 2), 200]:
+        if i not in key.m:
+            assert route(i) == _sum_form(fam, i), (key, i)
+    assert fam.polynomial(200) == _sum_form(fam, 200)
+
+
+@pytest.mark.parametrize(
+    "m, t, i",
+    [((3, 20), (1, 2), 15), ((3, 9), (F(-5, 7), 4), 5), ((0, 20, 30), (F(1, 3), -2, 7), 17)],
+)
+def test_first_order_form_between_levels(m, t, i):
+    fam = family(FamilyKey.of(m, t))
+    assert math.prod(k * (k + 1) - i * (i + 1) for k in m) < 0  # pi_i
+    assert _first_order_form(fam, i) == _sum_form(fam, i)
+    assert fam.polynomial(i) == _sum_form(fam, i)
+
+
+@pytest.mark.parametrize("key", [FamilyKey((1,), (F(-3),)), FamilyKey((1, 2), (F(-3), F(1)))])
+def test_first_order_form_across_a_repeated_root_of_tau(key):
+    # {1: -3} alone gives tau = -z^3; the chain is an oracle independent of R
+    fam = XFamily(key)
+    rec = recursive_family(key, _CUTOFF + 2)
+    for i in (_CUTOFF + 1, _CUTOFF + 2):
+        assert fam.polynomial(i) == _sum_form(fam, i) == rec.xpolys[i], (key, i)
+    assert fam.polynomial(60) == _sum_form(fam, 60)
+
+
+def test_polynomial_routes_indices_in_the_key_and_up_to_the_cutoff_to_the_sum(monkeypatch):
+    calls = []
+    sum_form, first_order = xfamily._xpoly_raw, xfamily._first_order
+
+    def counted_sum(key, i, *rest):
+        calls.append(("sum", i))
+        return sum_form(key, i, *rest)
+
+    def counted_first_order(*args):
+        calls.append(("built", None))
+        route = first_order(*args)
+        return lambda i: calls.append(("first-order", i)) or route(i)
+
+    monkeypatch.setattr(xfamily, "_xpoly_raw", counted_sum)
+    monkeypatch.setattr(xfamily, "_first_order", counted_first_order)
+    fam = XFamily(FamilyKey((2, 15), (F(1, 3), F(-2))))
+    for i in [*range(_CUTOFF + 1), 15, 13, 14, 16, 40, 13]:
+        fam.polynomial(i)
+    assert calls == (
+        [("sum", i) for i in range(_CUTOFF + 1)]
+        + [("sum", 15), ("built", None)]
+        + [("first-order", i) for i in (13, 14, 16, 40)]
+    )
+    calls.clear()
+    XFamily(FamilyKey.classical()).polynomial(40)  # P_40 itself
+    assert calls == [("sum", 40)]
