@@ -704,10 +704,6 @@ def _sum_form(fam, i):
     return _xpoly_raw(fam.key, i, fam.tau, fam._neg_tq)
 
 
-def _first_order_form(fam, i):
-    return xfamily._first_order(fam.key, fam.tau, fam._neg_tq)(i)
-
-
 _first_order_keys = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True),
@@ -740,7 +736,7 @@ def test_first_order_form_equals_determinantal_sum(key):
 def test_first_order_form_between_levels(m, t, i):
     fam = family(FamilyKey.of(m, t))
     assert math.prod(k * (k + 1) - i * (i + 1) for k in m) < 0  # pi_i
-    assert _first_order_form(fam, i) == _sum_form(fam, i)
+    assert xfamily._first_order(fam.key, fam.tau, fam._neg_tq)(i) == _sum_form(fam, i)
     assert fam.polynomial(i) == _sum_form(fam, i)
 
 
