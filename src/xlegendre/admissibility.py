@@ -148,7 +148,12 @@ def norm_of(key: FamilyKey, i: int) -> Fraction:
         raise InadmissibleKeyError(f"{key} is not admissible")
     if i < 0:
         raise ValueError("polynomial index must be non-negative")
-    shift = 2 * key.parameter_for(i) if i in key.m else Fraction(0)
+    return _norm(key, i)
+
+
+def _norm(key: FamilyKey, i: int) -> Fraction:
+    # the norm formula for a canonical admissible key and i >= 0, unchecked
+    shift = 2 * key.parameter_for(i) if i in key.m else 0
     return Fraction(2) / (1 + 2 * i + shift)
 
 

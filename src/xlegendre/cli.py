@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .admissibility import (
+    _norm,
     admissibility_formula,
     admissibility_record,
-    norm_of,
     orthogonality_check,
 )
 from .operators import verify_eigen, verify_factorization, verify_intertwining
@@ -171,7 +171,7 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> i
                 {"i": i, "degree": int(p.degree), "coeffs": p.to_json()}
                 for i, p in polys
             ],
-            "norms": [rat_str(norm_of(key, i)) for i in indices] if admissible else None,
+            "norms": [rat_str(_norm(key, i)) for i in indices] if admissible else None,
         }
         if original != key:
             payload["original"] = original.to_json_obj()

@@ -21,13 +21,13 @@ terms)``: all products share one denominator and, for large operands, one
 Kronecker slot width and one unpack, and the result is normalized once
 instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
-polynomials, elimination and chain steps, adjugate rows and overlap
-numerators (``xfamily``), and the operator numerator and factorization
-triples (``operators``) are one such sum each.  Beside it, ``poly_dot_at(terms,
-x)`` is the value of that sum at a point without the product: one integer
-Horner pass per factor (the loop ``Poly.evaluate`` runs too), one integer
-numerator over one denominator, one ``Fraction``.  An overlap evaluated at
-z = 1 reads its numerator this way and never builds it.
+polynomials up to index 12, elimination and chain steps, adjugate rows and
+overlap numerators (``xfamily``), and the operator numerator and
+factorization triples (``operators``) are one such sum each.  Beside it,
+``poly_dot_at(terms, x)`` is the value of that sum at a point without the
+product: one integer Horner pass per factor (the loop ``Poly.evaluate`` runs
+too), one integer numerator over one denominator, one ``Fraction``.  An
+overlap evaluated at z = 1 reads its numerator this way and never builds it.
 ``FixedOperands`` holds polynomials that many zero tests share (an
 operator's coefficients) over one denominator, and keeps their Kronecker
 packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
@@ -35,7 +35,9 @@ fixed operands times varying polynomials and their derivatives is zero: it
 packs only the varying digits and stops at the packed integer, the sum's
 value at z = 2^w, which is zero exactly when every coefficient is
 (Kronecker comment below).  The eigen and intertwining residuals
-(``operators``) are one such integer each.
+(``operators``) are one such integer each.  ``kronecker_slots(bound)`` hands
+out the pack and unpack of one slot width to a caller that does its own
+arithmetic on packed integers (the family polynomials above index 12).
 
 One integer pseudo-division, ``_pdivmod``, is behind ``divmod``, exact
 division and the remainder sequence.  ``remainder_sequence(a, b)`` is the
@@ -67,6 +69,7 @@ __all__ = [
     "poly_dot",
     "poly_dot_at",
     "FixedOperands",
+    "kronecker_slots",
     "poly_gcd",
     "remainder_sequence",
 ]
@@ -171,6 +174,15 @@ def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
         int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
         for k in range(n_out)
     ]
+
+
+def kronecker_slots(bound: int):
+    """(w, pack, unpack) for slots of w bits holding every digit of absolute
+    value at most ``bound``: ``pack(nums)`` is the value at z = 2^w of the
+    polynomial with integer digits ``nums``, ``unpack(packed, n)`` the first
+    n digits of a packed value."""
+    s = _slot_bytes(bound)
+    return 8 * s, lambda nums: _pack(nums, s), lambda packed, n: _unpack(packed, n, s)
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,52 @@ and ``(1 - z^2) P_i' = i (P_{i-1} - z P_i)``, the sum becomes
     pi_i P^_i = (a_i - i z b_i) P_i + i b_i P_{i-1},
     a_i = pi_i tau - sum_l e_l (1 - z^2) u_l P_{m_l}',   b_i = sum_l e_l u_l P_{m_l},
 
-of degree n and n - 1 in lambda_i, with coefficients fixed by the family: an
-index costs a Horner pass per degree and one two-term ``poly_dot``, and no
-R(i, m_l).  An index in ``m`` makes pi_i zero and keeps the sum.  Time per
-index, first-order over the sum, at i = 13..40 (CPython 3.11):
+of degree n and n - 1 in lambda_i.  Their coefficients a^(k) and b^(k) are
+fixed by the family and kept as integer digit lists over one denominator
+den, of length len; no R(i, m_l) is built.  An index in ``m`` makes pi_i
+zero and keeps the sum.
 
-    levels                  1      2      3      4      5
-    R(i, m) cached          1.81   1.17   1.00   0.92   0.87
-    R(i, m) not yet built   0.84   0.70   0.63   0.56   0.54
+No index multiplies by P_i either.  p_i = 2^i P_i has the integer
+coefficients (-1)^k C(i, k) C(2i - 2k, i) at z^(i - 2k), and the Legendre
+recurrence reads (i + 1) p_{i+1} = 2 (2i + 1) z p_i - 4i p_{i-1}.  It is
+linear, so at z = 2^w it holds for the packed product X(i) = pack(F) pack(p_i)
+of any fixed F, an integer identity whose division is exact:
+
+    (i + 1) X(i + 1) = 2 (2i + 1) (X(i) << w) - 4i X(i - 1).
+
+The route keeps A_k(i) and B_k(i), the products of a^(k) and b^(k) with p_i,
+and the same products with p_{i-1}; it advances them one index at a time,
+five linear big-integer operations each, and reads an index by Horner in
+lambda_i on those integers and one unpack:
+
+    (2^i pi_i den P^_i)(2^w) = sum_k lambda_i^k [A_k(i) - i (B_k(i) << w) + 2i B_k(i - 1)].
+
+Slots.  They are sized for a capacity c.  Each coefficient of p_{i+1} is
+at least the one of p_i at the same k, so max|p_i| <= max|p_c| for i <= c;
+lambda_i and i grow too.  A product of digit lists of lengths len and i + 1
+has no digit above max|F| max|p_i| len, so no digit of the numerator at
+i <= c exceeds
+
+    (sum_k lambda_c^k max|a^(k)| + 3c sum_k lambda_c^k max|b^(k)|) max|p_c| len,
+
+where 3c bounds i and 2i together, and no digit of a stored product does
+either.  max|p_c| is read from the closed form, at the k where its terms
+stop rising.  An index above c widens the slots to c = i + i/2 + 8: the
+stored products are unpacked at the old width, where they fit by the same
+bound, and packed at the new one.  The first index, an index below the
+current one and one more than 128 ahead start again: the products with
+P_{i-1} and P_i, two per digit list.  (On a 4-level key a jump from 13 to
+200 cost 75 ms by steps and 63 ms by a start; from 400 to 500, 298 and
+320 ms; from 400 to 800, 3.0 and 1.0 s.)  The route's state changes under
+its own lock.
+
+Time per index, route over sum, fresh route, CPython 3.11:
+
+    levels                          1      2      3      4      5
+    i = 13..40,  R(i, m) cached     2.5    1.3    0.8    0.9    0.8
+    i = 13..40,  R not yet built    0.9    0.6    0.4    0.5    0.5
+    i = 13..130, R(i, m) cached     2.8    0.9    0.7    0.5    0.4
+    i = 13..130, R not yet built    1.1    0.6    0.4    0.4    0.2
 
 So the indices above 12 take the first-order form; those at or below, which
 the lattice checks and ``verify`` read after the chain has cached R, keep
@@ -69,7 +107,15 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import legendre_poly, overlap_R
-from .polyring import Poly, RatLike, _rat, poly_dot, rat_str
+from .polyring import (
+    InexactDivisionError,
+    Poly,
+    RatLike,
+    _rat,
+    kronecker_slots,
+    poly_dot,
+    rat_str,
+)
 from .ratfun import RatFun
 from .record import Record
 
@@ -309,12 +355,19 @@ def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, neg_tq: Sequence[Poly]) ->
 
 _FIRST_ORDER_ABOVE = 12  # indices above it take the first-order form (module docstring)
 _ONE_MINUS_Z2 = Poly([1, 0, -1])
+_RESTART_AHEAD = 128  # a jump further ahead restarts from the Legendre polynomials
+
+
+def _capacity(i: int) -> int:
+    """The largest index the slots sized at index i serve (module docstring)."""
+    return i + i // 2 + 8
 
 
 def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
-    """i -> P^_i for i > 0 not in the key, in first-order form (module
-    docstring).  The coefficients of a_i and b_i in lambda_i are digit lists
-    over one denominator, one slot longer than the longest so z * b_i fits."""
+    """i -> P^_i for i > 0 not in the key, in first-order form, advanced along
+    the Legendre recurrence on packed products (module docstring).  The
+    coefficients of a_i and b_i in lambda_i are digit lists over one
+    denominator, one slot longer than the longest so z * b_i fits."""
     n, mus = key.n, [m * (m + 1) for m in key.m]
     e = []  # e[l]: prod (mu - lambda) over the levels but the l-th, ascending; e[n] is pi
     for l in range(n + 1):
@@ -334,19 +387,54 @@ def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
     den = math.lcm(*(c.denominator for cs in coeffs for c in cs))
     width = max(map(len, coeffs)) + 1
     digits = [[(c * den).numerator for c in cs] + [0] * (width - len(cs)) for cs in coeffs]
+    tops = [max(map(abs, d)) for d in digits]
+    lock = threading.Lock()
+    cap = j = 0  # the slots hold every index up to cap; the products are at j - 1 and j
+    slots = prev = cur = None
+
+    def sized(c: int):
+        lam = c * (c + 1)
+        k = 0  # the coefficients (-1)^k C(c, k) C(2c - 2k, c) of p_c rise, then fall, in k
+        while 2 * (k + 1) * (2 * c - 2 * k - 1) < (c - 2 * k) * (c - 2 * k - 1):
+            k += 1
+        top_p = math.comb(c, k) * math.comb(2 * c - 2 * k, c)
+        a = sum(lam**k * v for k, v in enumerate(tops[: n + 1]))
+        b = sum(lam**k * v for k, v in enumerate(tops[n + 1 :]))
+        return kronecker_slots((a + 3 * c * b) * top_p * width)
 
     def polynomial(i: int) -> Poly:
-        lam, a, ib = i * (i + 1), digits[n], digits[-1]
-        for k in range(n - 1, -1, -1):  # Horner, a_i over digits[:n + 1], b_i over the rest
-            a = [x * lam + y for x, y in zip(a, digits[k])]
-            if k:
-                ib = [x * lam + y for x, y in zip(ib, digits[n + k])]
-        ib = [i * x for x in ib]
-        a = [x - y for x, y in zip(a, [0] + ib)]  # a_i - i z b_i
-        pi = den * math.prod(mu - lam for mu in mus)
-        # Poly._raw reads integer digits over one denominator, as these are
-        terms = (Poly._raw(a, pi), legendre_poly(i)), (Poly._raw(ib, pi), legendre_poly(i - 1))
-        return poly_dot(terms)
+        nonlocal cap, j, slots, prev, cur
+        with lock:
+            if i < j or not j or i - j > _RESTART_AHEAD:  # start at i
+                cap, j = _capacity(i), i
+                slots = w, pack, _ = sized(cap)
+                fs = [pack(d) for d in digits]
+                ps = [legendre_poly(x).scale(1 << x).coeffs for x in (i - 1, i)]  # p_{i-1}, p_i
+                p0, p1 = (pack([c.numerator for c in p]) for p in ps)
+                prev, cur = [f * p0 for f in fs], [f * p1 for f in fs]
+            elif i > cap:  # widen: repack at the new slot width
+                unpack, cap = slots[2], _capacity(i)
+                slots = w, pack, _ = sized(cap)
+                prev, cur = ([pack(unpack(x, width + j)) for x in xs] for xs in (prev, cur))
+            w, _, unpack = slots
+            while j < i:  # (j + 1) p_{j+1} = 2 (2j + 1) z p_j - 4j p_{j-1}
+                nxt, c1, c0 = [], 2 * (2 * j + 1), 4 * j
+                for x, y in zip(prev, cur):
+                    q, r = divmod(c1 * (y << w) - c0 * x, j + 1)
+                    if r:
+                        raise InexactDivisionError("Legendre recurrence left a remainder")
+                    nxt.append(q)
+                prev, cur, j = cur, nxt, j + 1
+            lam = i * (i + 1)
+            a, b, b_prev = cur[n], cur[-1], prev[-1]
+            for k in range(n - 1, -1, -1):  # Horner in lambda_i
+                a = a * lam + cur[k]
+                if k:
+                    b = b * lam + cur[n + k]
+                    b_prev = b_prev * lam + prev[n + k]
+            total = a - i * (b << w) + 2 * i * b_prev
+        pi = (den << i) * math.prod(mu - lam for mu in mus)
+        return Poly._raw(unpack(total, width + i), pi)
 
     return polynomial
 
@@ -532,7 +620,8 @@ class XFamily:
 
     Construction is single-writer; afterwards the instance is immutable apart
     from memo maps, whose entries are pure recomputations and therefore safe
-    to fill concurrently.
+    to fill concurrently, and the first-order route, which advances its
+    packed products under its own lock.
     """
 
     __slots__ = (

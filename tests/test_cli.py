@@ -115,6 +115,20 @@ def test_gen_high_index_bytes_pinned(fmt):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == _GEN_DIGESTS[fmt]
 
 
+# sha256 of a 2-level key's CSV up to index 200, taken while every index above
+# 12 was built with two Kronecker products by P_i and P_{i-1}
+_GEN_ROUTE_DIGEST = "2e4dbce6e307edfbb10b0ebd4dd6cd9a5dc65d6ffa2179557be0d76d4f02c795"
+
+
+def test_gen_bytes_pinned_across_slot_widenings(monkeypatch):
+    # a fresh family: the route starts at 13 and widens its slots several times
+    monkeypatch.setattr(xfamily, "_FAMILY_CACHE", {})
+    assert xfamily._capacity(xfamily._capacity(xfamily._capacity(13) + 1) + 1) < 200
+    res = _run("gen", "--m", "31,32", "--t", "1,1", "--i", "0..200", "--format", "csv")
+    assert res.exit_code == 0, res.stderr
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _GEN_ROUTE_DIGEST
+
+
 # -- input caps -------------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -776,3 +778,117 @@ def test_polynomial_routes_indices_in_the_key_and_up_to_the_cutoff_to_the_sum(mo
     calls.clear()
     XFamily(FamilyKey.classical()).polynomial(40)  # P_40 itself
     assert calls == [("sum", 40)]
+
+
+# -- the route's state: packed products advanced by the Legendre recurrence --------
+
+
+def test_route_access_patterns():
+    key = FamilyKey((2, 15, 40), (F(1, 3), F(-2), F(5, 7)))
+    fam = XFamily(key)
+    route = xfamily._first_order(key, fam.tau, fam._neg_tq)
+    caps = [xfamily._capacity(_CUTOFF + 1)]  # the capacities a start at 13 passes
+    while caps[-1] < 200:
+        caps.append(xfamily._capacity(caps[-1] + 1))
+    assert len(caps) >= 4
+    checked = {*range(13, 31), *caps, *(c + 1 for c in caps), 200}
+    for i in range(_CUTOFF + 1, 201):  # sequential, stepping past 15 and 40
+        if i not in key.m:
+            p = route(i)
+            if i in checked:  # the oracle at every index would take seconds
+                assert p == _sum_form(fam, i), i
+    # backward, a repeat, a jump past the capacity, a jump far ahead, backward
+    cap = xfamily._capacity(50)
+    far = cap + 1 + xfamily._RESTART_AHEAD + 1
+    for i in (50, 50, cap + 1, far, 14):
+        assert route(i) == _sum_form(fam, i), i
+
+
+@pytest.mark.parametrize(
+    "m, t", [((13,), (F(3, 2),)), ((20, 21), (F(-1, 4), 2)), ((0, 20, 21), (1, F(5, 3), -1))]
+)
+def test_route_steps_past_levels_it_does_not_serve(m, t):
+    fam = XFamily(FamilyKey.of(m, t))
+    for i in range(_CUTOFF + 1, 31):
+        assert fam.polynomial(i) == _sum_form(fam, i), i
+
+
+def test_route_across_sign_changes_of_pi():
+    key = FamilyKey((2, 20, 21, 40), (F(1, 2), F(-3), F(7, 5), F(2)))
+    fam = XFamily(key)
+    signs = set()
+    for i in range(_CUTOFF + 1, 50):
+        if i not in key.m:
+            signs.add(math.prod(m * (m + 1) - i * (i + 1) for m in key.m) > 0)
+            assert fam.polynomial(i) == _sum_form(fam, i), i
+    assert signs == {False, True}
+
+
+_tall_keys = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True),
+        st.lists(
+            st.fractions(min_value=-1024, max_value=1024, max_denominator=1024).filter(bool),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+).map(lambda mt: canonicalize(FamilyKey(tuple(mt[0]), tuple(mt[1]))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_tall_keys)
+def test_route_at_a_high_index_with_tall_parameters(key):
+    # a start at 200, the last index its slots hold, and the widening after it
+    fam = XFamily(key)
+    route = xfamily._first_order(key, fam.tau, fam._neg_tq)
+    cap = xfamily._capacity(200)
+    for i in (200, cap, cap + 1):
+        assert route(i) == _sum_form(fam, i), (key, i)
+
+
+def test_route_digits_within_the_slot_bound(monkeypatch):
+    # every digit read back, of a numerator or of a product repacked at a
+    # widening, lies within the bound its slots were sized for
+    seen = []
+
+    def recording(bound):
+        w, pack, unpack = polyring.kronecker_slots(bound)
+
+        def checked(packed, n):
+            digits = unpack(packed, n)
+            seen.append((max(map(abs, digits)), bound))
+            return digits
+
+        return w, pack, checked
+
+    monkeypatch.setattr(xfamily, "kronecker_slots", recording)
+    key = FamilyKey((0, 3, 5, 7), (F(1021, 1019), F(-1000, 1023), F(997, 1013), F(-1009, 1024)))
+    fam = XFamily(key)
+    route = xfamily._first_order(key, fam.tau, fam._neg_tq)
+    cap = xfamily._capacity(200)
+    for i in (13, xfamily._capacity(13), xfamily._capacity(13) + 1, 200, cap, cap + 1):
+        assert route(i) == _sum_form(fam, i), i
+    assert all(top <= bound for top, bound in seen)
+
+
+def test_route_under_concurrent_callers():
+    # more threads than cores and a short switch interval, so that callers
+    # interleave inside the route; a lost or torn update of its packed
+    # products gives a wrong polynomial or an inexact division
+    key = FamilyKey((1, 3, 4), (F(2), F(-1, 3), F(5, 2)))
+    fam = XFamily(key)
+    spans = [
+        range(13, 90), range(60, 130), range(120, 40, -1), range(13, 130, 9), range(129, 12, -5)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(spans)) as pool:
+            futures = [pool.submit(lambda s: {i: fam.polynomial(i) for i in s}, s) for s in spans]
+            runs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for i, p in run.items():
+            assert p == _sum_form(fam, i), i
