@@ -25,10 +25,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .admissibility import (
@@ -140,9 +140,41 @@ def _output(out: str | None) -> Iterator[TextIO]:
             yield fh
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_json(obj, out: str | None) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to the --out file or
+    standard output, chunk by chunk.  A generator may stand where a list
+    goes: each item is rendered and written as it is produced."""
     with _output(out) as fh:
-        fh.write(text)
+        _dump(fh.write, obj, "\n")
+        fh.write("\n")
+
+
+def _dump(write, obj, nl: str) -> None:
+    # nl: a newline and the indent of the line obj starts on; obj holds
+    # dicts with str keys, lists, tuples, generators, str, int, bool and None
+    if isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None or isinstance(obj, bool):
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for name, value in obj.items():
+            write(f"{sep}{inner}{_encode_str(name)}: ")
+            _dump(write, value, inner)
+            sep = ","
+        write(nl + "}" if obj else "{}")
+    elif isinstance(obj, list) and obj and all(isinstance(v, str) for v in obj):
+        inner = nl + "  "
+        write(f"[{inner}{(',' + inner).join(map(_encode_str, obj))}{nl}]")
+    else:  # a list, a tuple or a generator
+        inner, sep = nl + "  ", "["
+        for value in obj:
+            write(sep + inner)
+            _dump(write, value, inner)
+            sep = ","
+        write("[]" if sep == "[" else nl + "]")
 
 
 def _decimal_str(value: Fraction, precision: int) -> str:
@@ -161,21 +193,21 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> i
     admissible = admissibility_formula(key)
 
     if fmt == "json":
-        polys = [(i, exceptional_poly(key, i)) for i in indices]
         payload = {
             "m": list(key.m),
             "t": [rat_str(v) for v in key.t],
             "admissible": admissible,
             "tau": tau_val.to_json(),
-            "polys": [
+            "polys": (  # built, written and dropped one at a time
                 {"i": i, "degree": int(p.degree), "coeffs": p.to_json()}
-                for i, p in polys
-            ],
+                for i in indices
+                for p in [exceptional_poly(key, i)]
+            ),
             "norms": [rat_str(_norm(key, i)) for i in indices] if admissible else None,
         }
         if original != key:
             payload["original"] = original.to_json_obj()
-        _write_output(json.dumps(payload, indent=2) + "\n", out)
+        _write_json(payload, out)
     else:
         import csv  # here, not at the top: every CLI start would pay for it
 
@@ -306,7 +338,7 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
             "pass": False,
             "error": "inadmissible parameters: weight has poles on [-1, 1]",
         }
-        _write_output(json.dumps(report, indent=2) + "\n", out)
+        _write_json(report, out)
         return EXIT_INADMISSIBLE
 
     ok = True
@@ -315,7 +347,7 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
         report["suites"][name] = suite_report
         ok = ok and suite_report["pass"]
     report["pass"] = ok
-    _write_output(json.dumps(report, indent=2) + "\n", out)
+    _write_json(report, out)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
@@ -352,7 +384,8 @@ def cmd_degrees(m_str: str, t_str: str, max_i: int, out: str | None) -> int:
         f"deg tau = {int(tau(key).degree)}; "
         f"codimension match: {report['codimension_matches_tau_degree']}"
     )
-    _write_output("\n".join(lines) + "\n", out)
+    with _output(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if report["pass"] else EXIT_VERIFICATION_FAILED
 
 

@@ -622,6 +622,13 @@ class XFamily:
     from memo maps, whose entries are pure recomputations and therefore safe
     to fill concurrently, and the first-order route, which advances its
     packed products under its own lock.
+
+    Polynomials at indices up to 12 and in the key are memoized; those
+    above 12 and outside the key are not.  So each read of such an index is
+    a call of the first-order route (a read below the route's current index
+    restarts it), and a caller that walks 0..N several times, as ``verify``
+    does once per suite that reads the polynomials, walks the route each
+    time.
     """
 
     __slots__ = (
@@ -654,18 +661,22 @@ class XFamily:
         self._lock = threading.Lock()
 
     def polynomial(self, i: int) -> Poly:
-        hit = self._xpolys.get(i)
-        if hit is not None:
-            return hit
         key = self.key
-        if i <= _FIRST_ORDER_ABOVE or i in key.m or not key.m:
+        if i <= _FIRST_ORDER_ABOVE or i in key.m:
+            hit = self._xpolys.get(i)
+            if hit is not None:
+                return hit
             value = _xpoly_raw(key, i, self.tau, self._neg_tq)
-        else:
-            if self._first_order is None:  # a pure function of the family
-                self._first_order = _first_order(key, self.tau, self._neg_tq)
-            value = self._first_order(i)
-        with self._lock:
-            return self._xpolys.setdefault(i, value)
+            with self._lock:
+                return self._xpolys.setdefault(i, value)
+        # not memoized, so a reader of many indices (gen) holds one polynomial
+        # at a time: the route's packed products are its cache, and the
+        # classical family's P_i is in the Legendre cache
+        if not key.m:
+            return _xpoly_raw(key, i, self.tau, self._neg_tq)
+        if self._first_order is None:  # a pure function of the family
+            self._first_order = _first_order(key, self.tau, self._neg_tq)
+        return self._first_order(i)
 
     def recursive(self, max_i: int) -> RecursiveFamily:
         return recursive_family(self.key, max_i)

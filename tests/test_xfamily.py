@@ -694,6 +694,13 @@ def test_family_polynomial_memoized():
     fam = family(FamilyKey((3,), (F(1),)))
     assert fam.polynomial(2) is fam.polynomial(2)
     assert fam.polynomial(2) == exceptional_poly(fam.key, 2)
+    # an index above the cutoff and outside the key is built again on each
+    # read, not held: on the first-order route, and P_i of the classical family
+    assert fam.polynomial(20) == fam.polynomial(20)
+    assert 20 not in fam._xpolys and 2 in fam._xpolys
+    classical = family(FamilyKey.classical())
+    assert classical.polynomial(20) == legendre_poly(20)
+    assert 20 not in classical._xpolys
 
 
 # -- first-order form of the family polynomials ------------------------------------
@@ -768,12 +775,13 @@ def test_polynomial_routes_indices_in_the_key_and_up_to_the_cutoff_to_the_sum(mo
     monkeypatch.setattr(xfamily, "_xpoly_raw", counted_sum)
     monkeypatch.setattr(xfamily, "_first_order", counted_first_order)
     fam = XFamily(FamilyKey((2, 15), (F(1, 3), F(-2))))
-    for i in [*range(_CUTOFF + 1), 15, 13, 14, 16, 40, 13]:
+    for i in [*range(_CUTOFF + 1), 15, 13, 14, 16, 40, 13, 2, 15]:
         fam.polynomial(i)
+    # a second read of 2 or 15 is a memo hit; one of 13 is a route call again
     assert calls == (
         [("sum", i) for i in range(_CUTOFF + 1)]
         + [("sum", 15), ("built", None)]
-        + [("first-order", i) for i in (13, 14, 16, 40)]
+        + [("first-order", i) for i in (13, 14, 16, 40, 13)]
     )
     calls.clear()
     XFamily(FamilyKey.classical()).polynomial(40)  # P_40 itself
