@@ -177,6 +177,12 @@ def _dump(write, obj, nl: str) -> None:
         write("[]" if sep == "[" else nl + "]")
 
 
+def _csv_row(fields: list[str]) -> str:
+    # the line csv.writer writes: no label, integer, "p/q" or decimal ever
+    # holds a comma, a quote or a line break, so no field is quoted
+    return ",".join(fields) + "\r\n"
+
+
 def _decimal_str(value: Fraction, precision: int) -> str:
     ctx = decimal.Context(prec=precision)
     return str(
@@ -209,16 +215,13 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> i
             payload["original"] = original.to_json_obj()
         _write_json(payload, out)
     else:
-        import csv  # here, not at the top: every CLI start would pay for it
-
         # one row at a time: at a high index the text outweighs the polynomials
         with _output(out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "degree", "coeffs..."])
-            writer.writerow(["tau", int(tau_val.degree), *tau_val.to_json()])
+            fh.write(_csv_row(["label", "degree", "coeffs..."]))
+            fh.write(_csv_row(["tau", str(tau_val.degree), *tau_val.to_json()]))
             for i in indices:
                 p = exceptional_poly(key, i)
-                writer.writerow([f"P[{i}]", int(p.degree), *p.to_json()])
+                fh.write(_csv_row([f"P[{i}]", str(p.degree), *p.to_json()]))
     return EXIT_OK
 
 
@@ -357,17 +360,14 @@ def cmd_weight(m_str: str, t_str: str, samples: int, out: str | None, precision:
     if not admissibility_formula(key):
         print("inadmissible parameters: weight has poles on [-1, 1]", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    import csv
-
     tau_val = tau(key)
     step = Fraction(2, samples - 1)
     with _output(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "W"])
+        fh.write(_csv_row(["z", "W"]))
         for k in range(samples):
             z = -1 + step * k
             w = 1 / tau_val.evaluate(z) ** 2
-            writer.writerow([_decimal_str(v, precision) for v in (z, w)])
+            fh.write(_csv_row([_decimal_str(v, precision) for v in (z, w)]))
     return EXIT_OK
 
 

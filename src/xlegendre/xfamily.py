@@ -60,15 +60,19 @@ i <= c exceeds
     (sum_k lambda_c^k max|a^(k)| + 3c sum_k lambda_c^k max|b^(k)|) max|p_c| len,
 
 where 3c bounds i and 2i together, and no digit of a stored product does
-either.  max|p_c| is read from the closed form, at the k where its terms
-stop rising.  An index above c widens the slots to c = i + i/2 + 8: the
-stored products are unpacked at the old width, where they fit by the same
-bound, and packed at the new one.  The first index, an index below the
-current one and one more than 128 ahead start again: the products with
-P_{i-1} and P_i, two per digit list.  (On a 4-level key a jump from 13 to
-200 cost 75 ms by steps and 63 ms by a start; from 400 to 500, 298 and
-320 ms; from 400 to 800, 3.0 and 1.0 s.)  The route's state changes under
-its own lock.
+either.  max|p_c| is read from the closed form.  An index above c widens
+the slots to c = i + i/2 + 8: the stored products are unpacked at the old
+width, where they fit by the same bound, and packed at the new one.  The
+first index, an index below the current one and one more than 128 ahead
+start again: the products with p_{i-1} and p_i, two per digit list, each
+read from the closed form term by term (the ratio of consecutive terms is
+exact), so no Legendre polynomial is built or kept.  (On a 4-level key a
+jump from 13 to 200 cost 75 ms by steps and 63 ms by a start; from 400 to
+500, 298 and 320 ms; from 400 to 800, 3.0 and 1.0 s.)  The route's state
+changes under its own lock.
+
+The classical key takes the route too: with no levels pi_i = 1, a_i = tau =
+1 and b_i = 0, so the route is the recurrence on p_i itself.
 
 Time per index, route over sum, fresh route, CPython 3.11:
 
@@ -78,9 +82,9 @@ Time per index, route over sum, fresh route, CPython 3.11:
     i = 13..130, R(i, m) cached     2.8    0.9    0.7    0.5    0.4
     i = 13..130, R not yet built    1.1    0.6    0.4    0.4    0.2
 
-So the indices above 12 take the first-order form; those at or below, which
-the lattice checks and ``verify`` read after the chain has cached R, keep
-the sum.
+So the indices above 12 take the first-order form, on every key; those at
+or below, which the lattice checks and ``verify`` read after the chain has
+cached R, keep the sum.
 
 The deformed overlaps (antiderivatives of ``P_i1 P_i2 / tau^2`` vanishing at
 ``z = -1``) have a closed form in the same data: with ``adj`` the adjugate,
@@ -355,12 +359,23 @@ def _xpoly_raw(key: FamilyKey, i: int, tau_val: Poly, neg_tq: Sequence[Poly]) ->
 
 _FIRST_ORDER_ABOVE = 12  # indices above it take the first-order form (module docstring)
 _ONE_MINUS_Z2 = Poly([1, 0, -1])
-_RESTART_AHEAD = 128  # a jump further ahead restarts from the Legendre polynomials
+_RESTART_AHEAD = 128  # a jump further ahead restarts from the closed form
 
 
 def _capacity(i: int) -> int:
     """The largest index the slots sized at index i serve (module docstring)."""
     return i + i // 2 + 8
+
+
+def _p_digits(i: int) -> list[int]:
+    """The coefficients of p_i = 2^i P_i, ascending: (-1)^k C(i, k) C(2i - 2k, i)
+    at z^(i - 2k), each term the previous one times their exact ratio."""
+    digits = [0] * (i + 1)
+    c = math.comb(2 * i, i)
+    for k in range(i // 2 + 1):
+        digits[i - 2 * k] = c
+        c = -c * (i - 2 * k) * (i - 2 * k - 1) // (2 * (k + 1) * (2 * i - 2 * k - 1))
+    return digits
 
 
 def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
@@ -394,10 +409,7 @@ def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
 
     def sized(c: int):
         lam = c * (c + 1)
-        k = 0  # the coefficients (-1)^k C(c, k) C(2c - 2k, c) of p_c rise, then fall, in k
-        while 2 * (k + 1) * (2 * c - 2 * k - 1) < (c - 2 * k) * (c - 2 * k - 1):
-            k += 1
-        top_p = math.comb(c, k) * math.comb(2 * c - 2 * k, c)
+        top_p = max(map(abs, _p_digits(c)))
         a = sum(lam**k * v for k, v in enumerate(tops[: n + 1]))
         b = sum(lam**k * v for k, v in enumerate(tops[n + 1 :]))
         return kronecker_slots((a + 3 * c * b) * top_p * width)
@@ -409,8 +421,7 @@ def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
                 cap, j = _capacity(i), i
                 slots = w, pack, _ = sized(cap)
                 fs = [pack(d) for d in digits]
-                ps = [legendre_poly(x).scale(1 << x).coeffs for x in (i - 1, i)]  # p_{i-1}, p_i
-                p0, p1 = (pack([c.numerator for c in p]) for p in ps)
+                p0, p1 = pack(_p_digits(i - 1)), pack(_p_digits(i))
                 prev, cur = [f * p0 for f in fs], [f * p1 for f in fs]
             elif i > cap:  # widen: repack at the new slot width
                 unpack, cap = slots[2], _capacity(i)
@@ -426,12 +437,11 @@ def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
                     nxt.append(q)
                 prev, cur, j = cur, nxt, j + 1
             lam = i * (i + 1)
-            a, b, b_prev = cur[n], cur[-1], prev[-1]
+            a, b, b_prev = cur[n], 0, 0  # no b_i on the classical key
             for k in range(n - 1, -1, -1):  # Horner in lambda_i
                 a = a * lam + cur[k]
-                if k:
-                    b = b * lam + cur[n + k]
-                    b_prev = b_prev * lam + prev[n + k]
+                b = b * lam + cur[n + 1 + k]
+                b_prev = b_prev * lam + prev[n + 1 + k]
             total = a - i * (b << w) + 2 * i * b_prev
         pi = (den << i) * math.prod(mu - lam for mu in mus)
         return Poly._raw(unpack(total, width + i), pi)
@@ -557,7 +567,7 @@ class OverlapMap(Mapping):
     Keys are unordered pairs: ``(i1, i2)`` is in the map when both indices
     are in the set, a lookup accepts either order, and iteration yields each
     pair once as ``(i1, i2)`` with ``i1 <= i2``.  Values are read from
-    ``XFamily.overlap``, which computes and memoizes them.
+    ``XFamily.overlap``, which computes them on each read.
     """
 
     __slots__ = ("_family", "_indices", "_pairs")
@@ -616,7 +626,7 @@ def recursive_family(key: FamilyKey, max_i: int) -> RecursiveFamily:
 
 
 class XFamily:
-    """One canonical family with every expensive object computed once.
+    """One canonical family: its matrix, tau, adjugate and q, computed once.
 
     Construction is single-writer; afterwards the instance is immutable apart
     from memo maps, whose entries are pure recomputations and therefore safe
@@ -624,11 +634,15 @@ class XFamily:
     packed products under its own lock.
 
     Polynomials at indices up to 12 and in the key are memoized; those
-    above 12 and outside the key are not.  So each read of such an index is
-    a call of the first-order route (a read below the route's current index
-    restarts it), and a caller that walks 0..N several times, as ``verify``
+    above 12 and outside the key are not, on the classical key too.  So each
+    read of such an index is a call of the first-order route (a read below
+    the route's current index restarts it from the closed form of p_{i-1}
+    and p_i), and a caller that walks 0..N several times, as ``verify``
     does once per suite that reads the polynomials, walks the route each
     time.
+
+    Overlaps are not memoized either (every check reads a pair once); the
+    rows ``a_i`` they are gathered from, which every ``j`` shares, are.
     """
 
     __slots__ = (
@@ -641,7 +655,6 @@ class XFamily:
         "_xpolys",
         "_first_order",
         "_rows",
-        "_overlaps",
         "_lock",
     )
 
@@ -657,7 +670,6 @@ class XFamily:
         self._xpolys: dict[int, Poly] = {}
         self._first_order = None
         self._rows: dict[int, tuple[Poly, ...]] = {}
-        self._overlaps: dict[_PAIR, RatFun] = {}
         self._lock = threading.Lock()
 
     def polynomial(self, i: int) -> Poly:
@@ -670,10 +682,7 @@ class XFamily:
             with self._lock:
                 return self._xpolys.setdefault(i, value)
         # not memoized, so a reader of many indices (gen) holds one polynomial
-        # at a time: the route's packed products are its cache, and the
-        # classical family's P_i is in the Legendre cache
-        if not key.m:
-            return _xpoly_raw(key, i, self.tau, self._neg_tq)
+        # at a time: the route's packed products are its cache
         if self._first_order is None:  # a pure function of the family
             self._first_order = _first_order(key, self.tau, self._neg_tq)
         return self._first_order(i)
@@ -702,16 +711,10 @@ class XFamily:
         the overlap away from the roots of tau builds no polynomial; reading
         it as a rational function builds N with one ``poly_dot``.
         """
-        pair = _pkey(i1, i2)
-        hit = self._overlaps.get(pair)
-        if hit is not None:
-            return hit
-        i, j = pair
+        i, j = _pkey(i1, i2)
         terms = [(self.tau, overlap_R(i, j))]
         terms += [(neg_a, overlap_R(m, j)) for neg_a, m in zip(self._row(i), self.key.m)]
-        value = RatFun.of(terms, self.tau)
-        with self._lock:
-            return self._overlaps.setdefault(pair, value)
+        return RatFun.of(terms, self.tau)
 
 
 _FAMILY_CACHE: dict[FamilyKey, XFamily] = {}

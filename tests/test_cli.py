@@ -417,6 +417,25 @@ def test_weight_precision_flag():
     assert rows[2] == ["1", "0.11111"]  # 1/(1+2)^2 to 5 significant digits
 
 
+@pytest.mark.parametrize(
+    "m, t, samples, precision",
+    [("4", "26/5", 41, 17), ("1,2", "2,-8/5", 17, 2), ("0,3", "1,1/7", 9, 60), ("", "", 3, 5)],
+)
+def test_weight_lines_match_csv_writer(m, t, samples, precision):
+    res = _run(
+        "weight", "--m", m, "--t", t, "--samples", str(samples), "--precision", str(precision)
+    )
+    assert res.exit_code == 0
+    tau_val = tau(FamilyKey.of(m.split(",") if m else [], t.split(",") if t else []))
+    rows = [["z", "W"]]
+    for k in range(samples):
+        z = -1 + F(2 * k, samples - 1)
+        rows.append([cli._decimal_str(v, precision) for v in (z, 1 / tau_val.evaluate(z) ** 2)])
+    want = io.StringIO()
+    csv.writer(want).writerows(rows)
+    assert res.output == want.getvalue()
+
+
 def test_weight_inadmissible_exit_3():
     assert _run("weight", "--m", "0", "--t", "-1/2").exit_code == 3
 

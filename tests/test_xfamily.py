@@ -1,8 +1,10 @@
 """Family construction: canonical keys, matrices, both build routes, degrees."""
 
+import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from xlegendre import (
     recursive_family,
     tau,
 )
-from xlegendre import polyring, ratfun, xfamily
+from xlegendre import legendre, polyring, ratfun, xfamily
 from xlegendre.admissibility import admissibility_formula
 from xlegendre.xfamily import XFamily, _tau_raw, _q_raw, _xpoly_raw
 
@@ -507,7 +509,7 @@ def test_closed_form_overlaps_match_level_by_level_deformation():
         expected = deformed_overlaps_oracle(key, indices)
         for (i1, i2), value in expected.items():
             assert fam.overlap(i1, i2) == value, (key, i1, i2)
-            assert fam.overlap(i2, i1) is fam.overlap(i1, i2)
+            assert fam.overlap(i2, i1) == fam.overlap(i1, i2)
 
 
 def _value_or_pole(f, x):
@@ -584,6 +586,34 @@ def test_overlap_evaluate_builds_no_numerator(monkeypatch):
     assert len(calls) == 1
     overlap.den
     assert len(calls) == 1
+
+
+# bytes the overlaps of a fresh 3-level family retain once its rows are
+# built, read by tracemalloc: 0 here, 46,120 while every overlap was memoized
+# (about 500 bytes per pair); the bound leaves room for allocator noise
+_OVERLAP_RETAINED_BOUND = 8_000
+
+
+def test_overlaps_are_not_memoized():
+    key = canonicalize(FamilyKey((3, 4, 5), (F(1, 2), F(-3, 4), F(5, 3))))
+    pairs = [(i, j) for i in range(13) for j in range(i, 13)]  # the lattice range
+    warm = XFamily(key)  # fills the Legendre overlap cache
+    for i, j in pairs:
+        warm.overlap(i, j).evaluate(1)
+    fam = XFamily(key)
+    for i in range(13):
+        fam._row(i)  # memoized by design: every j shares them
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, j in pairs:
+            fam.overlap(i, j).evaluate(1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < _OVERLAP_RETAINED_BOUND, retained
 
 
 @pytest.mark.parametrize(
@@ -695,7 +725,7 @@ def test_family_polynomial_memoized():
     assert fam.polynomial(2) is fam.polynomial(2)
     assert fam.polynomial(2) == exceptional_poly(fam.key, 2)
     # an index above the cutoff and outside the key is built again on each
-    # read, not held: on the first-order route, and P_i of the classical family
+    # read by the first-order route, not held, on the classical family too
     assert fam.polynomial(20) == fam.polynomial(20)
     assert 20 not in fam._xpolys and 2 in fam._xpolys
     classical = family(FamilyKey.classical())
@@ -785,10 +815,37 @@ def test_polynomial_routes_indices_in_the_key_and_up_to_the_cutoff_to_the_sum(mo
     )
     calls.clear()
     XFamily(FamilyKey.classical()).polynomial(40)  # P_40 itself
-    assert calls == [("sum", 40)]
+    assert calls == [("built", None), ("first-order", 40)]
 
 
 # -- the route's state: packed products advanced by the Legendre recurrence --------
+
+
+def test_route_start_digits_are_the_closed_form_of_p_i():
+    for i in range(201):
+        assert Poly(xfamily._p_digits(i)) == legendre_poly(i).scale(2**i), i
+
+
+def test_route_on_the_classical_key():
+    # a start at 13, a widening past the first capacity, a jump more than 128
+    # ahead and a read back to 13
+    fam = XFamily(FamilyKey.classical())
+    cap = xfamily._capacity(_CUTOFF + 1)
+    far = cap + 1 + xfamily._RESTART_AHEAD + 1
+    for i in (_CUTOFF + 1, _CUTOFF + 2, cap, cap + 1, far, _CUTOFF + 1):
+        assert fam.polynomial(i) == legendre_poly(i), i
+    assert fam._first_order is not None
+
+
+@pytest.mark.parametrize("key", [FamilyKey.classical(), FamilyKey((3, 20), (F(1), F(2)))])
+def test_route_keeps_no_legendre_polynomial_above_the_levels(monkeypatch, key):
+    # the route starts from the closed form of p_{i-1} and p_i; the Legendre
+    # cache keeps only what the levels (and indices up to 12) read
+    cache = legendre.LegendreCache()
+    monkeypatch.setattr(legendre, "_CACHE", cache)
+    monkeypatch.setattr(xfamily, "_FAMILY_CACHE", {})
+    exceptional_poly(key, 1000)
+    assert len(cache._polys) <= max((_CUTOFF, *key.m)) + 1
 
 
 def test_route_access_patterns():
