@@ -132,21 +132,34 @@ def _parse_indices(spec_str: str) -> list[int]:
 
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The --out file, opened for writing, or standard output."""
-    if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w") as fh:
-            yield fh
+    """The --out file, opened for writing, or standard output.
+
+    While it is open, CPython's limit on the digits of an integer converted
+    to or from text (4,300 by default) is lifted: an exact coefficient of
+    the output may have many more digits than any parameter, and the
+    parameters were parsed under the limit before.
+    """
+    # the limit, and these functions, came with CPython 3.10.7
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if out is None:
+            yield sys.stdout
+        else:
+            with open(out, "w") as fh:
+                yield fh
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
-def _write_json(obj, out: str | None) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline to the --out file or
-    standard output, chunk by chunk.  A generator may stand where a list
-    goes: each item is rendered and written as it is produced."""
-    with _output(out) as fh:
-        _dump(fh.write, obj, "\n")
-        fh.write("\n")
+def _write_json(obj, fh: TextIO) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``fh``, chunk by
+    chunk.  A generator may stand where a list goes: each item is rendered
+    and written as it is produced."""
+    _dump(fh.write, obj, "\n")
+    fh.write("\n")
 
 
 def _dump(write, obj, nl: str) -> None:
@@ -198,25 +211,25 @@ def cmd_gen(m_str: str, t_str: str, i_spec: str, fmt: str, out: str | None) -> i
     tau_val = tau(key)
     admissible = admissibility_formula(key)
 
-    if fmt == "json":
-        payload = {
-            "m": list(key.m),
-            "t": [rat_str(v) for v in key.t],
-            "admissible": admissible,
-            "tau": tau_val.to_json(),
-            "polys": (  # built, written and dropped one at a time
-                {"i": i, "degree": int(p.degree), "coeffs": p.to_json()}
-                for i in indices
-                for p in [exceptional_poly(key, i)]
-            ),
-            "norms": [rat_str(_norm(key, i)) for i in indices] if admissible else None,
-        }
-        if original != key:
-            payload["original"] = original.to_json_obj()
-        _write_json(payload, out)
-    else:
-        # one row at a time: at a high index the text outweighs the polynomials
-        with _output(out) as fh:
+    with _output(out) as fh:  # every number is rendered inside it
+        if fmt == "json":
+            payload = {
+                "m": list(key.m),
+                "t": [rat_str(v) for v in key.t],
+                "admissible": admissible,
+                "tau": tau_val.to_json(),
+                "polys": (  # built, written and dropped one at a time
+                    {"i": i, "degree": int(p.degree), "coeffs": p.to_json()}
+                    for i in indices
+                    for p in [exceptional_poly(key, i)]
+                ),
+                "norms": [rat_str(_norm(key, i)) for i in indices] if admissible else None,
+            }
+            if original != key:
+                payload["original"] = original.to_json_obj()
+            _write_json(payload, fh)
+        else:
+            # one row at a time: at a high index the text outweighs the polynomials
             fh.write(_csv_row(["label", "degree", "coeffs..."]))
             fh.write(_csv_row(["tau", str(tau_val.degree), *tau_val.to_json()]))
             for i in indices:
@@ -341,7 +354,8 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
             "pass": False,
             "error": "inadmissible parameters: weight has poles on [-1, 1]",
         }
-        _write_json(report, out)
+        with _output(out) as fh:
+            _write_json(report, fh)
         return EXIT_INADMISSIBLE
 
     ok = True
@@ -350,7 +364,8 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
         report["suites"][name] = suite_report
         ok = ok and suite_report["pass"]
     report["pass"] = ok
-    _write_json(report, out)
+    with _output(out) as fh:
+        _write_json(report, fh)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

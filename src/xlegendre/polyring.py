@@ -21,13 +21,16 @@ terms)``: all products share one denominator and, for large operands, one
 Kronecker slot width and one unpack, and the result is normalized once
 instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
-polynomials up to index 12, elimination and chain steps, adjugate rows and
-overlap numerators (``xfamily``), and the operator numerator and
-factorization triples (``operators``) are one such sum each.  Beside it,
-``poly_dot_at(terms, x)`` is the value of that sum at a point without the
-product: one integer Horner pass per factor (the loop ``Poly.evaluate`` runs
-too), one integer numerator over one denominator, one ``Fraction``.  An
-overlap evaluated at z = 1 reads its numerator this way and never builds it.
+polynomials up to index 12, elimination and chain steps and a built overlap
+numerator (``xfamily``), and the operator numerator and factorization
+triples (``operators``) are one such sum each.  Beside it,
+``poly_dot_at(terms, x)`` is the value at a point of a sum whose terms are
+products of any number of factors, with no product built: one integer Horner
+pass per factor (the loop ``Poly.evaluate`` runs too), up to the first
+factor of a term that vanishes at the point, one integer numerator over one
+denominator, one ``Fraction``.  An overlap evaluated at z = 1 or z = -1
+reads its numerator this way and never builds it: there nearly every term
+ends at its first factor, a classical overlap.
 ``FixedOperands`` holds polynomials that many zero tests share (an
 operator's coefficients) over one denominator, and keeps their Kronecker
 packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
@@ -674,22 +677,33 @@ class FixedOperands:
         return not total
 
 
-def poly_dot_at(terms: Iterable[tuple[Poly, Poly]], x: RatLike) -> Fraction:
-    """The value at x of ``poly_dot(terms)``, built from the factors' values.
+def poly_dot_at(terms: Iterable[Sequence[Poly]], x: RatLike) -> Fraction:
+    """The value at x of the sum of the products of the factors in each term.
 
-    Each factor is one integer Horner pass; the sum is one integer numerator
-    over the least common denominator of the products, and one ``Fraction``.
+    A term is a sequence of one or more polynomials.  Each distinct factor
+    is one integer Horner pass, however many terms share it, and a term
+    stops at its first factor that vanishes at x; the sum is one integer
+    numerator over the least common denominator of the products, and one
+    ``Fraction``.
     """
     x = Fraction(x)
     xn, xd = x.numerator, x.denominator
     num, den = 0, 1
-    for a, b in terms:
-        va, wa = _horner(a._nums, xn, xd)
-        vb, wb = _horner(b._nums, xn, xd)
-        if va and vb:
-            d = a._den * wa * b._den * wb
+    seen = {}  # id -> (factor, its Horner pair); holding the factor keeps its id
+    for factors in terms:
+        v = d = 1
+        for f in factors:
+            hit = seen.get(id(f))
+            if hit is None:
+                hit = seen[id(f)] = (f, *_horner(f._nums, xn, xd))
+            _, vf, wf = hit
+            if not vf:
+                break
+            v *= vf
+            d *= f._den * wf
+        else:
             lcm = math.lcm(den, d)
-            num = num * (lcm // den) + va * vb * (lcm // d)
+            num = num * (lcm // den) + v * (lcm // d)
             den = lcm
     return Fraction(num, den)
 

@@ -8,19 +8,22 @@ package assert with zero tolerance.
 
 ``RatFun.of`` rejects a zero denominator at once but defers the reduction to
 the first read of ``num`` or ``den`` (equality, hashing, arithmetic, ``str``
-and ``to_json`` all read them).  It also takes the numerator as the pairs of
-a sum of products, which it defers the same way: ``poly_dot`` builds the
-numerator at that first read (or at ``is_zero``).  ``evaluate`` uses the
-unreduced pair when its denominator does not vanish at the point, reading a
-deferred numerator from its factors' values (``poly_dot_at``), so a value
-that is only evaluated never pays for a gcd or a product; at a root of that
-denominator it reduces first, so a removable singularity still evaluates and
-a true pole raises.
+and ``to_json`` all read them).  It also takes the numerator as a sum of
+products of two or more factors each, which it defers the same way: at that
+first read (or at ``is_zero``) each product of more than two factors is
+multiplied down to a pair, and one ``poly_dot`` sums the pairs.
+``evaluate`` uses the unreduced pair when its denominator does not vanish at
+the point, reading a deferred numerator from its factors' values
+(``poly_dot_at``), so a value that is only evaluated never pays for a gcd or
+a product; at a root of that denominator it reduces first, so a removable
+singularity still evaluates and a true pole raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import (
@@ -53,10 +56,10 @@ class RatFun:
     """Quotient of two polynomials, read in canonical form."""
 
     # _pair is (num, den), num a Poly or, until the reduction, a tuple of
-    # (a, b) pairs whose sum of products it is; the pair is canonical once
-    # _reduced is set.  Only the reduction writes it: it is idempotent and
-    # _pair is assigned before _reduced, so concurrent first reads may both
-    # reduce and still agree.
+    # terms, each a sequence of factors, whose sum of products it is; the
+    # pair is canonical once _reduced is set.  Only the reduction writes it:
+    # it is idempotent and _pair is assigned before _reduced, so concurrent
+    # first reads may both reduce and still agree.
     __slots__ = ("_pair", "_reduced")
 
     def __init__(self, num: Poly, den: Poly):
@@ -66,12 +69,13 @@ class RatFun:
 
     @classmethod
     def of(
-        cls, num: Poly | Iterable[tuple[Poly, Poly]], den: Poly | None = None
+        cls, num: Poly | Iterable[Sequence[Poly]], den: Poly | None = None
     ) -> "RatFun":
         """num/den, reduced (then den made monic) when num or den is first read.
 
-        num may be the pairs (a, b) of the numerator sum(a * b), which is
-        then built at that first read too.
+        num may be the terms of the numerator, each a sequence of two or more
+        factors whose product it adds, which is then built at that first read
+        too.
         """
         if den is None:
             den = Poly.one()
@@ -88,7 +92,7 @@ class RatFun:
     def _reduce(self) -> tuple[Poly, Poly]:
         num, den = self._pair
         if not isinstance(num, Poly):
-            num = poly_dot(num)
+            num = poly_dot((reduce(mul, t[:-1]), t[-1]) for t in num)
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)

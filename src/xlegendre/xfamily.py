@@ -92,10 +92,15 @@ The deformed overlaps (antiderivatives of ``P_i1 P_i2 / tau^2`` vanishing at
     overlap(i, j) = R(i, j) - sum_{k,l} t_k R(i, m_k) adj[k, l] R(m_l, j) / tau
 
 which is exact for every key.  ``XFamily.overlap`` returns it as ``N / tau``
-with the numerator ``N`` left as its sum of products: a value at a point is
-read from the factors, and ``N`` is built only when the rational function
-itself is read.  The test suite checks it against a level-by-level
-deformation.
+with the numerator ``N`` left as the closed form's own products: ``R(i, j)
+tau`` and, for each pair of levels, ``R(m_l, j) R(i, m_k) c[k][l]`` with
+``c[k][l] = -t_k adj[k, l]``, a table built at the family's first overlap
+read.  A value at a point is read from the factors' values, a product
+stopping at its first factor that vanishes there.  Every ``R(a, b)`` is
+``delta_ab 2/(2a+1)`` at z = 1 and 0 at z = -1, so there nearly every product
+ends at its first factor and no polynomial is multiplied.  ``N`` is built
+only when the rational function itself is read.  The test suite checks it
+against a level-by-level deformation.
 
 Degrees obey ``deg tau = 2*sum(m) + n`` and
 ``deg P_i = 2*sum(m) + n + i - (2i+1)*[i in m]``, so the attained degree
@@ -508,10 +513,10 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # since tau_next = tau*(1 + t*overlap[m, m]) and a step deforms an overlap to
 # overlap[i1, i2] - t*overlap[i1, m]*overlap[i2, m] / (1 + t*overlap[m, m]).
 # Every division is exact, for every key: P_next is the family polynomial of
-# the first j+1 levels (an adjugate component), and N_next = tau_next*R -
-# sum_l a[l]*R is the closed form of XFamily.overlap for those levels; both
-# are polynomials, however often the roots of tau repeat (the level {1: -3}
-# alone gives tau = -z^3).  Were this wrong, exact_div would raise
+# the first j+1 levels (an adjugate component), and N_next is the numerator
+# of XFamily.overlap's closed form for those levels; both are polynomials,
+# however often the roots of tau repeat (the level {1: -3} alone gives
+# tau = -z^3).  Were this wrong, exact_div would raise
 # InexactDivisionError; it cannot return a wrong value.  Every overlap
 # vanishes at z = -1, so every step keeps tau_j(-1) = 1: no parameter makes
 # a divisor identically zero.  Each numerator is one two-term poly_dot, -t
@@ -641,8 +646,10 @@ class XFamily:
     does once per suite that reads the polynomials, walks the route each
     time.
 
-    Overlaps are not memoized either (every check reads a pair once); the
-    rows ``a_i`` they are gathered from, which every ``j`` shares, are.
+    Overlaps are not memoized either (every check reads a pair once).  They
+    are read from the classical overlaps and the table ``c[k][l] = -t_k
+    adj[k, l]``, kept from the first overlap read on; nothing per index or
+    per pair is kept.
     """
 
     __slots__ = (
@@ -654,7 +661,7 @@ class XFamily:
         "_neg_tq",
         "_xpolys",
         "_first_order",
-        "_rows",
+        "_c",
         "_lock",
     )
 
@@ -669,7 +676,7 @@ class XFamily:
         self._neg_tq = tuple(qc.scale(-t) for t, qc in zip(key.t, self.q))
         self._xpolys: dict[int, Poly] = {}
         self._first_order = None
-        self._rows: dict[int, tuple[Poly, ...]] = {}
+        self._c: tuple[tuple[Poly, ...], ...] | None = None
         self._lock = threading.Lock()
 
     def polynomial(self, i: int) -> Poly:
@@ -690,30 +697,28 @@ class XFamily:
     def recursive(self, max_i: int) -> RecursiveFamily:
         return recursive_family(self.key, max_i)
 
-    def _row(self, i: int) -> tuple[Poly, ...]:
-        # -a_i[l] = sum_k -t_k R(i, m_k) adj[k, l], shared by every pair (i, j)
-        hit = self._rows.get(i)
-        if hit is not None:
-            return hit
-        key, adj = self.key, self.adjugate
-        scaled = [overlap_R(i, m).scale(-t) for m, t in zip(key.m, key.t)]
-        value = tuple(
-            poly_dot((scaled[k], adj[k, l]) for k in range(key.n)) for l in range(key.n)
-        )
-        with self._lock:
-            return self._rows.setdefault(i, value)
-
     def overlap(self, i1: int, i2: int) -> RatFun:
         """Deformed overlap of P_i1 and P_i2 as N / tau, where, with i <= j
-        the sorted pair, N = tau R(i, j) - sum_l a_i[l] R(m_l, j).
+        the sorted pair, N = R(i, j) tau + sum_{k,l} R(m_l, j) R(i, m_k) c[k][l]
+        and c[k][l] = -t_k adj[k, l].
 
-        N is handed to ``RatFun.of`` as its pairs of factors, so evaluating
-        the overlap away from the roots of tau builds no polynomial; reading
-        it as a rational function builds N with one ``poly_dot``.
+        N is handed to ``RatFun.of`` as those products, so evaluating the
+        overlap away from the roots of tau builds no polynomial; reading it
+        as a rational function builds N.
         """
+        c = self._c
+        if c is None:  # a pure function of the family
+            key, adj = self.key, self.adjugate
+            c = self._c = tuple(
+                tuple(adj[k, l].scale(-t) for l in range(key.n)) for k, t in enumerate(key.t)
+            )
         i, j = _pkey(i1, i2)
-        terms = [(self.tau, overlap_R(i, j))]
-        terms += [(neg_a, overlap_R(m, j)) for neg_a, m in zip(self._row(i), self.key.m)]
+        m = self.key.m
+        left = [overlap_R(i, mk) for mk in m]
+        terms = [(overlap_R(i, j), self.tau)]
+        for l, ml in enumerate(m):
+            right = overlap_R(ml, j)
+            terms += [(right, r_k, c_k[l]) for r_k, c_k in zip(left, c)]
         return RatFun.of(terms, self.tau)
 
 

@@ -1,6 +1,5 @@
 """Command-line surface: formats, round-trips, exit codes."""
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -18,7 +17,15 @@ from hypothesis import example, given, strategies as st
 import xlegendre.cli as cli
 import xlegendre.xfamily as xfamily
 from helpers import run_cli as _run
-from xlegendre import FamilyKey, Poly, exceptional_poly, legendre_poly, norm_of, tau
+from xlegendre import (
+    FamilyKey,
+    Poly,
+    exceptional_poly,
+    legendre_poly,
+    norm_of,
+    recursive_family,
+    tau,
+)
 
 F = Fraction
 
@@ -182,8 +189,7 @@ def _generators_for_lists(obj):
 
 def _written(obj) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._write_json(obj, None)
+    cli._write_json(obj, out)
     return out.getvalue()
 
 
@@ -242,6 +248,31 @@ def test_input_over_cap_exits_2_before_any_family(no_family_built, args):
         rest += ["--m", "1,3", "--t", "2/7,5/11"]
     res = _run(cmd, *rest)
     assert res.exit_code == 2, res.output
+
+
+def test_gen_renders_coefficients_past_the_int_text_limit():
+    # 2,500-digit parameters give tau coefficients of more than 4,300 digits,
+    # CPython's default limit on converting an int to text
+    tall = "7" * 2500
+    limit = sys.get_int_max_str_digits()
+    res = _run("gen", "--m", "1,2", "--t", f"{tall},{tall}", "--i", "0..1")
+    assert res.exit_code == 0, res.stderr
+    assert sys.get_int_max_str_digits() == limit
+    blob = json.loads(res.output)
+    assert max(len(c) for c in blob["tau"]) > 4300
+    rec = recursive_family(FamilyKey((1, 2), (int(tall), int(tall))), 1)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Poly.from_json(blob["tau"]) == rec.tau
+        assert [Poly.from_json(e["coeffs"]) for e in blob["polys"]] == [rec.xpolys[0], rec.xpolys[1]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parameter_past_the_int_text_limit_exits_2(no_family_built):
+    res = _run("gen", "--m", "1", "--t", "7" * 5000)
+    assert res.exit_code == 2, res.output
+    assert "Exceeds the limit (4300 digits) for integer string conversion" in res.stderr
 
 
 def test_caps_are_stated_in_help():

@@ -235,15 +235,22 @@ def test_poly_dot_cancellation(a, b, c):
 
 
 @given(
-    st.lists(st.tuples(any_polys, any_polys), max_size=5),
+    # each factor with a flag: multiply it by (z - x), so that it vanishes at x
+    st.lists(st.lists(st.tuples(any_polys, st.booleans()), min_size=1, max_size=4), max_size=5),
     st.one_of(st.integers(-4, 4), points),
 )
 @example([], 1)
 @example([], Fraction(1, 3))
-@example([(Poly.zero(), Poly([1, 2]))], 1)
-@example([(Poly([Fraction(1, 2), 3]), Poly([Fraction(-2, 3), 0, 5]))], 1)
-def test_poly_dot_at_matches_value_of_poly_dot(terms, x):
-    want = poly_dot(terms).evaluate(x)
+@example([[(Poly.zero(), False), (Poly([1, 2]), False)]], 1)
+@example([[(Poly([Fraction(1, 2), 3]), False), (Poly([Fraction(-2, 3), 0, 5]), False)]], 1)
+@example([[(Poly([3]), False)], [(Poly([1, 1]), True), (Poly([2, 0, 1]), False)]], -1)
+@example([[(Poly([1, 2]), False), (Poly([4]), True), (Poly([0, 1]), False)]], Fraction(2, 3))
+def test_poly_dot_at_matches_value_of_poly_dot(spec, x):
+    root = Poly([-Fraction(x), 1])
+    terms = [[f * root if vanish else f for f, vanish in fs] for fs in spec]
+    # each product as a pair: all its factors but the last, multiplied out
+    pairs = [(math.prod(fs[:-1], start=Poly.one()), fs[-1]) for fs in terms]
+    want = poly_dot(pairs).evaluate(x)
     got = poly_dot_at(terms, x)
     assert type(got) is Fraction and got == want
 

@@ -24,6 +24,7 @@ from xlegendre import (
     family,
     legendre_poly,
     missing_degrees,
+    norm_of,
     overlap_R,
     poly_dot,
     q_vector,
@@ -520,10 +521,14 @@ def _value_or_pole(f, x):
 
 
 def _assert_overlap_matches_built_numerator(key, i, j, points):
-    # a family of its own, so that its overlaps are deferred when first read
+    # a family of its own, so that its overlaps are deferred when first read;
+    # the numerator built by rows: tau R(i, j) + sum_l a_i[l] R(m_l, j) with
+    # a_i[l] = sum_k -t_k R(i, m_k) adj[k, l]
     fam = XFamily(canonicalize(key))
-    terms = [(fam.tau, overlap_R(i, j))]
-    terms += [(neg_a, overlap_R(m, j)) for neg_a, m in zip(fam._row(i), fam.key.m)]
+    m, t, adj = fam.key.m, fam.key.t, fam.adjugate
+    scaled = [overlap_R(i, mk).scale(-tk) for mk, tk in zip(m, t)]
+    rows = [poly_dot((s, adj[k, l]) for k, s in enumerate(scaled)) for l in range(len(m))]
+    terms = [(fam.tau, overlap_R(i, j))] + [(a, overlap_R(ml, j)) for a, ml in zip(rows, m)]
     built = RatFun.of(poly_dot(terms), fam.tau)
     deferred = fam.overlap(i, j)
     for x in points:
@@ -562,13 +567,7 @@ def test_deferred_overlap_at_a_root_of_tau(i, j):
     _assert_overlap_matches_built_numerator(key, i, j, [0, 1, -1])
 
 
-def test_overlap_evaluate_builds_no_numerator(monkeypatch):
-    key = canonicalize(FamilyKey((1, 3), (F(1), F(1, 2))))
-    fam = XFamily(key)
-    for i in range(5):
-        fam._row(i)
-        for j in (*range(5), *key.m):
-            overlap_R(i, j)
+def _count_poly_dot(monkeypatch) -> list:
     calls = []
     real = polyring.poly_dot
 
@@ -578,19 +577,45 @@ def test_overlap_evaluate_builds_no_numerator(monkeypatch):
 
     for module in (polyring, ratfun, xfamily):
         monkeypatch.setattr(module, "poly_dot", counted)
+    return calls
+
+
+def test_overlap_evaluate_builds_no_numerator(monkeypatch):
+    key = canonicalize(FamilyKey((1, 3), (F(1), F(1, 2))))
+    fam = XFamily(key)
+    for i in range(5):
+        for j in (*range(5), *key.m):
+            overlap_R(i, j)
+    calls = _count_poly_dot(monkeypatch)
     overlap = fam.overlap(2, 4)
     assert overlap.evaluate(1) == 0
     assert fam.overlap(2, 2).evaluate(1) == F(2, 5)
     assert calls == []
-    overlap.num
-    assert len(calls) == 1
+    overlap.num  # one product per pair of levels, then the sum
+    assert len(calls) == key.n**2 + 1
     overlap.den
-    assert len(calls) == 1
+    assert len(calls) == key.n**2 + 1
 
 
-# bytes the overlaps of a fresh 3-level family retain once its rows are
-# built, read by tracemalloc: 0 here, 46,120 while every overlap was memoized
-# (about 500 bytes per pair); the bound leaves room for allocator noise
+def test_overlaps_at_both_ends_multiply_no_polynomial(monkeypatch):
+    key = canonicalize(FamilyKey((3, 4, 5), (F(1, 2), F(-3, 4), F(5, 3))))
+    for i in range(13):
+        for j in range(i, 13):
+            overlap_R(i, j)
+    fam = XFamily(key)
+    calls = _count_poly_dot(monkeypatch)
+    for i in range(13):
+        for j in range(i, 13):
+            overlap = fam.overlap(i, j)
+            assert overlap.evaluate(1) == (norm_of(key, i) if i == j else 0), (i, j)
+            assert overlap.evaluate(-1) == 0, (i, j)
+    assert calls == []
+
+
+# bytes the overlaps of a fresh 3-level family retain once one overlap has
+# been read, read by tracemalloc: 0 here, 46,120 while every overlap was
+# memoized (about 500 bytes per pair), 43,304 while each index kept its row
+# of polynomials; the bound leaves room for allocator noise
 _OVERLAP_RETAINED_BOUND = 8_000
 
 
@@ -601,8 +626,7 @@ def test_overlaps_are_not_memoized():
     for i, j in pairs:
         warm.overlap(i, j).evaluate(1)
     fam = XFamily(key)
-    for i in range(13):
-        fam._row(i)  # memoized by design: every j shares them
+    fam.overlap(0, 0)  # builds the family's table of scaled adjugate entries
     gc.collect()
     tracemalloc.start()
     try:
