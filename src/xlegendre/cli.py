@@ -147,7 +147,11 @@ def _output(out: str | None) -> Iterator[TextIO]:
         if out is None:
             yield sys.stdout
         else:
-            with open(out, "w") as fh:
+            try:
+                fh = open(out, "w")
+            except OSError as exc:  # exit 2: a bad path is not a failed check
+                raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
+            with fh:
                 yield fh
     finally:
         if limit:

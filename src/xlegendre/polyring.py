@@ -419,12 +419,6 @@ class Poly:
                 base = base * base
         return result
 
-    def shift_mul_x(self) -> "Poly":
-        """Multiply by z (coefficient shift)."""
-        if not self._nums:
-            return self
-        return Poly._raw([0, *self._nums], self._den)
-
     # -- calculus ------------------------------------------------------------
 
     def differentiate(self) -> "Poly":

@@ -37,7 +37,8 @@ den, of length len; no R(i, m_l) is built.  An index in ``m`` makes pi_i
 zero and keeps the sum.
 
 No index multiplies by P_i either.  p_i = 2^i P_i has the integer
-coefficients (-1)^k C(i, k) C(2i - 2k, i) at z^(i - 2k), and the Legendre
+coefficients (-1)^k C(i, k) C(2i - 2k, i) at z^(i - 2k), the closed form
+that :mod:`xlegendre.legendre` reads P_i from too, and the Legendre
 recurrence reads (i + 1) p_{i+1} = 2 (2i + 1) z p_i - 4i p_{i-1}.  It is
 linear, so at z = 2^w it holds for the packed product X(i) = pack(F) pack(p_i)
 of any fixed F, an integer identity whose division is exact:
@@ -65,11 +66,10 @@ the slots to c = i + i/2 + 8: the stored products are unpacked at the old
 width, where they fit by the same bound, and packed at the new one.  The
 first index, an index below the current one and one more than 128 ahead
 start again: the products with p_{i-1} and p_i, two per digit list, each
-read from the closed form term by term (the ratio of consecutive terms is
-exact), so no Legendre polynomial is built or kept.  (On a 4-level key a
-jump from 13 to 200 cost 75 ms by steps and 63 ms by a start; from 400 to
-500, 298 and 320 ms; from 400 to 800, 3.0 and 1.0 s.)  The route's state
-changes under its own lock.
+p from the closed form's digits, so no Legendre polynomial is built or kept.
+(On a 4-level key a jump from 13 to 200 cost 75 ms by steps and 63 ms by a
+start; from 400 to 500, 298 and 320 ms; from 400 to 800, 3.0 and 1.0 s.)
+The route's state changes under its own lock.
 
 The classical key takes the route too: with no levels pi_i = 1, a_i = tau =
 1 and b_i = 0, so the route is the recurrence on p_i itself.
@@ -115,7 +115,7 @@ import threading
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .legendre import legendre_poly, overlap_R
+from .legendre import _p_digits, legendre_poly, overlap_R
 from .polyring import (
     InexactDivisionError,
     Poly,
@@ -372,17 +372,6 @@ def _capacity(i: int) -> int:
     return i + i // 2 + 8
 
 
-def _p_digits(i: int) -> list[int]:
-    """The coefficients of p_i = 2^i P_i, ascending: (-1)^k C(i, k) C(2i - 2k, i)
-    at z^(i - 2k), each term the previous one times their exact ratio."""
-    digits = [0] * (i + 1)
-    c = math.comb(2 * i, i)
-    for k in range(i // 2 + 1):
-        digits[i - 2 * k] = c
-        c = -c * (i - 2 * k) * (i - 2 * k - 1) // (2 * (k + 1) * (2 * i - 2 * k - 1))
-    return digits
-
-
 def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
     """i -> P^_i for i > 0 not in the key, in first-order form, advanced along
     the Legendre recurrence on packed products (module docstring).  The
@@ -403,10 +392,11 @@ def _first_order(key: FamilyKey, tau_val: Poly, neg_tq: Sequence[Poly]):
         poly_dot([(const(e[n][k]), tau_val)] + [(const(-el[k]), x) for el, x in zip(e, alphas)])
         for k in range(n + 1)
     ] + [poly_dot((const(el[k]), x) for el, x in zip(e, betas)) for k in range(n)]
-    coeffs = [p.coeffs for p in polys]
-    den = math.lcm(*(c.denominator for cs in coeffs for c in cs))
-    width = max(map(len, coeffs)) + 1
-    digits = [[(c * den).numerator for c in cs] + [0] * (width - len(cs)) for cs in coeffs]
+    den = math.lcm(*(p._den for p in polys))
+    width = max(len(p._nums) for p in polys) + 1
+    digits = [
+        [v * (den // p._den) for v in p._nums] + [0] * (width - len(p._nums)) for p in polys
+    ]
     tops = [max(map(abs, d)) for d in digits]
     lock = threading.Lock()
     cap = j = 0  # the slots hold every index up to cap; the products are at j - 1 and j

@@ -58,6 +58,19 @@ def rodrigues_legendre(i: int) -> Poly:
     return p.scale(Fraction(1, 2**i * math.factorial(i)))
 
 
+def recurrence_legendre(n: int) -> list[Poly]:
+    """Independent generator: P_0, ..., P_n by the three-term recurrence
+    (k+1) P_{k+1} = (2k+1) z P_k - k P_{k-1} on Fraction-scaled polynomials,
+    one index after another."""
+    polys = [Poly.one(), Poly.x()]
+    for k in range(1, n):
+        z_pk = Poly([0, *polys[k].coeffs])
+        polys.append(
+            z_pk.scale(Fraction(2 * k + 1, k + 1)) - polys[k - 1].scale(Fraction(k, k + 1))
+        )
+    return polys[: n + 1]
+
+
 def fraction_antiderivative(p: Poly) -> Poly:
     """F with F' = p and F(-1) = 0, built one Fraction coefficient at a time
     (the integral's coefficients c_k / (k + 1), then minus its value at -1)."""

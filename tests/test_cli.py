@@ -107,6 +107,23 @@ def test_gen_refused_input_creates_no_out_file(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("gen", "--i", "0..1"),
+    ("verify", "--max-i", "2", "--suites", "degree"),
+    ("weight", "--samples", "3"),
+    ("degrees", "--max-i", "2"),
+])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, command, target):
+    out = tmp_path / "missing" / "x.out" if target == "missing directory" else tmp_path
+    name, *rest = command
+    res = _run(name, "--m", "1", "--t", "1", *rest, "--out", str(out))
+    assert res.exit_code == 2
+    assert f"cannot write --out {out}: " in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.output == ""
+
+
 def test_gen_invalid_inputs_exit_2():
     assert _run("gen", "--m", "1", "--t", "x").exit_code == 2
     assert _run("gen", "--m", "1,2", "--t", "1").exit_code == 2

@@ -1,19 +1,20 @@
-"""Classical Legendre layer: recurrence, overlaps, norms, and cross-oracles."""
+"""Classical Legendre layer: closed form, overlaps, norms, and cross-oracles."""
 
 import math
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from xlegendre import Poly, classical_norm, legendre_poly, overlap_R
-from xlegendre.legendre import LegendreCache
+from xlegendre import Poly, classical_norm, legendre, legendre_poly, overlap_R
 from xlegendre.operators import eigenvalue
 
 from helpers import (
     OperatorSpec,
     apply_T_hat,
     fraction_antiderivative,
+    recurrence_legendre,
     rodrigues_legendre,
     sparse_poly,
 )
@@ -106,18 +107,33 @@ def test_classical_norm_rejects_negative_index():
 
 
 def test_cache_concurrent_fill_is_consistent():
-    cache = LegendreCache()
+    # four threads fill both memos from empty; each entry equals the oracle's
+    legendre_poly.cache_clear()
+    legendre._overlap.cache_clear()
+    start = threading.Barrier(4)
     results = {}
 
     def worker(tag):
-        results[tag] = [cache.poly(i) for i in range(25)]
+        start.wait()
+        polys = [legendre_poly(i) for i in range(25)]
+        results[tag] = polys, [overlap_R(i, 24 - i) for i in range(25)]
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    fresh = LegendreCache()
-    expected = [fresh.poly(i) for i in range(25)]
-    for tag in results:
-        assert results[tag] == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    expected = recurrence_legendre(24)
+    overlaps = [fraction_antiderivative(expected[i] * expected[24 - i]) for i in range(25)]
+    assert len(results) == 4
+    for polys, got in results.values():
+        assert polys == expected
+        assert got == overlaps
+    assert legendre_poly.cache_info().currsize == 25
+    assert legendre._overlap.cache_info().currsize == 13

@@ -40,6 +40,7 @@ from helpers import (
     deformed_overlaps_oracle,
     full_lattice,
     raw_xpoly,
+    recurrence_legendre,
     sparse_poly,
 )
 
@@ -846,8 +847,9 @@ def test_polynomial_routes_indices_in_the_key_and_up_to_the_cutoff_to_the_sum(mo
 
 
 def test_route_start_digits_are_the_closed_form_of_p_i():
-    for i in range(201):
-        assert Poly(xfamily._p_digits(i)) == legendre_poly(i).scale(2**i), i
+    # against the three-term recurrence: legendre_poly reads the closed form too
+    for i, p in enumerate(recurrence_legendre(200)):
+        assert Poly(legendre._p_digits(i)) == p.scale(2**i), i
 
 
 def test_route_on_the_classical_key():
@@ -863,13 +865,18 @@ def test_route_on_the_classical_key():
 
 @pytest.mark.parametrize("key", [FamilyKey.classical(), FamilyKey((3, 20), (F(1), F(2)))])
 def test_route_keeps_no_legendre_polynomial_above_the_levels(monkeypatch, key):
-    # the route starts from the closed form of p_{i-1} and p_i; the Legendre
-    # cache keeps only what the levels (and indices up to 12) read
-    cache = legendre.LegendreCache()
-    monkeypatch.setattr(legendre, "_CACHE", cache)
+    # the route starts from the closed form of p_{i-1} and p_i; the memo keeps
+    # only the polynomials the levels read
+    legendre_poly.cache_clear()
+    legendre._overlap.cache_clear()
     monkeypatch.setattr(xfamily, "_FAMILY_CACHE", {})
     exceptional_poly(key, 1000)
-    assert len(cache._polys) <= max((_CUTOFF, *key.m)) + 1
+    assert legendre_poly.cache_info().currsize == key.n
+    hits = legendre_poly.cache_info().hits
+    for m in key.m:  # the ones held are the levels'
+        legendre_poly(m)
+    info = legendre_poly.cache_info()
+    assert (info.hits, info.currsize) == (hits + key.n, key.n)
 
 
 def test_route_access_patterns():
