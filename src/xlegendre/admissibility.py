@@ -91,7 +91,10 @@ def root_count(p: Poly, lo: RatLike, hi: RatLike) -> int:
 def admissibility_formula(key: FamilyKey) -> bool:
     """Parameter bounds t > -m - 1/2, one per level of the canonical key."""
     key = canonicalize(key)
-    return all(t > -Fraction(2 * m + 1, 2) for m, t in zip(key.m, key.t))
+    # t = p/q with q > 0: t > -(2m+1)/2 exactly when 2p + (2m+1)q > 0
+    return all(
+        2 * t.numerator + (2 * m + 1) * t.denominator > 0 for m, t in zip(key.m, key.t)
+    )
 
 
 class AdmissibilityRecord(Record):
@@ -152,9 +155,13 @@ def norm_of(key: FamilyKey, i: int) -> Fraction:
 
 
 def _norm(key: FamilyKey, i: int) -> Fraction:
-    # the norm formula for a canonical admissible key and i >= 0, unchecked
-    shift = 2 * key.parameter_for(i) if i in key.m else 0
-    return Fraction(2) / (1 + 2 * i + shift)
+    # the norm formula for a canonical admissible key and i >= 0, unchecked:
+    # with t = p/q, 2/(2i+1+2t) = 2q/((2i+1)q + 2p)
+    if i in key.m:
+        t = key.parameter_for(i)
+        q = t.denominator
+        return Fraction(2 * q, (2 * i + 1) * q + 2 * t.numerator)
+    return Fraction(2, 2 * i + 1)
 
 
 def norm_table(key: FamilyKey, max_i: int) -> dict[int, Fraction]:

@@ -351,24 +351,25 @@ def cmd_verify(m_str: str, t_str: str, max_i: int, suites: str, out: str | None)
         report["original"] = original.to_json_obj()
         report["note"] = "duplicate or zero-parameter levels were merged"
 
-    if "ortho" in selected and not admissibility_formula(key):
-        report["suites"]["ortho"] = {
-            "kind": "orthogonality",
-            "key": key.to_json_obj(),
-            "pass": False,
-            "error": "inadmissible parameters: weight has poles on [-1, 1]",
-        }
-        with _output(out) as fh:
-            _write_json(report, fh)
-        return EXIT_INADMISSIBLE
-
-    ok = True
-    for name in selected:
-        suite_report = _SUITE_RUNNERS[name](key, max_i)
-        report["suites"][name] = suite_report
-        ok = ok and suite_report["pass"]
-    report["pass"] = ok
+    # opened before any suite runs, so a bad --out is refused at once, and
+    # every number of the report is rendered inside it
     with _output(out) as fh:
+        if "ortho" in selected and not admissibility_formula(key):
+            report["suites"]["ortho"] = {
+                "kind": "orthogonality",
+                "key": key.to_json_obj(),
+                "pass": False,
+                "error": "inadmissible parameters: weight has poles on [-1, 1]",
+            }
+            _write_json(report, fh)
+            return EXIT_INADMISSIBLE
+
+        ok = True
+        for name in selected:
+            suite_report = _SUITE_RUNNERS[name](key, max_i)
+            report["suites"][name] = suite_report
+            ok = ok and suite_report["pass"]
+        report["pass"] = ok
         _write_json(report, fh)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 

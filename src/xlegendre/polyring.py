@@ -27,10 +27,13 @@ triples (``operators``) are one such sum each.  Beside it,
 ``poly_dot_at(terms, x)`` is the value at a point of a sum whose terms are
 products of any number of factors, with no product built: one integer Horner
 pass per factor (the loop ``Poly.evaluate`` runs too), up to the first
-factor of a term that vanishes at the point, one integer numerator over one
-denominator, one ``Fraction``.  An overlap evaluated at z = 1 or z = -1
-reads its numerator this way and never builds it: there nearly every term
-ends at its first factor, a classical overlap.
+factor of a term that vanishes at the point.  Its integer core ``_dot_at``
+returns the sum as one integer numerator over one integer denominator, and
+the value is one ``Fraction``; ``RatFun.evaluate`` reads the same pair and
+hands it a factor it has already read (the denominator), so that factor's
+pass is not run twice.  An overlap evaluated at z = 1 or z = -1 reads its
+numerator this way and never builds it: there nearly every term ends at its
+first factor, a classical overlap.
 ``FixedOperands`` holds polynomials that many zero tests share (an
 operator's coefficients) over one denominator, and keeps their Kronecker
 packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
@@ -677,13 +680,26 @@ def poly_dot_at(terms: Iterable[Sequence[Poly]], x: RatLike) -> Fraction:
     A term is a sequence of one or more polynomials.  Each distinct factor
     is one integer Horner pass, however many terms share it, and a term
     stops at its first factor that vanishes at x; the sum is one integer
-    numerator over the least common denominator of the products, and one
-    ``Fraction``.
+    pair (``_dot_at``) and one ``Fraction``.
     """
     x = Fraction(x)
-    xn, xd = x.numerator, x.denominator
+    num, den = _dot_at(terms, x.numerator, x.denominator, {})
+    return Fraction(num, den)
+
+
+def _dot_at(
+    terms: Iterable[Sequence[Poly]], xn: int, xd: int, seen: dict
+) -> tuple[int, int]:
+    """(num, den) with num/den the value of ``poly_dot_at(terms, xn/xd)``,
+    den > 0, not reduced.
+
+    ``seen`` maps id(f) to (f, the Horner pair of f's integer numerators);
+    it is filled as factors are read, and a caller may seed it with a factor
+    it has already read.  Holding f keeps its id.  A term's denominator is
+    brought to the running one by their gcd, and not at all when they are
+    equal.
+    """
     num, den = 0, 1
-    seen = {}  # id -> (factor, its Horner pair); holding the factor keeps its id
     for factors in terms:
         v = d = 1
         for f in factors:
@@ -696,10 +712,13 @@ def poly_dot_at(terms: Iterable[Sequence[Poly]], x: RatLike) -> Fraction:
             v *= vf
             d *= f._den * wf
         else:
-            lcm = math.lcm(den, d)
-            num = num * (lcm // den) + v * (lcm // d)
-            den = lcm
-    return Fraction(num, den)
+            if d == den:
+                num += v
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + v * (den // g)
+                den = den // g * d
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,13 @@ first read (or at ``is_zero``) each product of more than two factors is
 multiplied down to a pair, and one ``poly_dot`` sums the pairs.
 ``evaluate`` uses the unreduced pair when its denominator does not vanish at
 the point, reading a deferred numerator from its factors' values
-(``poly_dot_at``), so a value that is only evaluated never pays for a gcd or
-a product; at a root of that denominator it reduces first, so a removable
-singularity still evaluates and a true pole raises.
+(``polyring._dot_at``), so a value that is only evaluated never pays for a
+gcd or a product; at a root of that denominator it reduces first, so a
+removable singularity still evaluates and a true pole raises.  A value at a
+point is integers until its end: the denominator is one Horner pass, read
+once per call even where it is also a factor of the numerator's terms (the
+diagonal overlaps), the numerator one integer pair, and the quotient one
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .polyring import (
     InexactDivisionError,
     Poly,
     RatLike,
+    _dot_at,
+    _horner,
     poly_dot,
-    poly_dot_at,
     poly_gcd,
 )
 
@@ -228,18 +233,26 @@ class RatFun:
         )
 
     def evaluate(self, x: RatLike) -> Fraction:
-        """Exact value at x; raises PoleError on a pole."""
-        reduced = self._reduced
+        """Exact value at x; raises PoleError on a pole.
+
+        The denominator is one Horner pass, and the same pass serves a
+        deferred numerator that has it as a factor; the value is one
+        integer pair over another, one ``Fraction``.
+        """
+        at = Fraction(x)
+        xn, xd = at.numerator, at.denominator
+        reduced = self._reduced  # read before the pair (class comment)
         num, den = self._pair
-        dv = den.evaluate(x)
-        if dv == 0 and not reduced:
+        dv, dw = _horner(den._nums, xn, xd)
+        if not dv and not reduced:
             num, den = self._reduce()
-            dv = den.evaluate(x)
-        if dv == 0:
+            dv, dw = _horner(den._nums, xn, xd)
+        if not dv:
             raise PoleError(f"pole at z = {x}")
-        if isinstance(num, Poly):
-            return num.evaluate(x) / dv
-        return poly_dot_at(num, x) / dv
+        terms = ((num,),) if isinstance(num, Poly) else num
+        nv, nw = _dot_at(terms, xn, xd, {id(den): (den, dv, dw)})
+        # num(x) = nv/nw and den(x) = dv/(den._den*dw)
+        return Fraction(nv * den._den * dw, nw * dv)
 
     def as_polynomial(self) -> Poly:
         """The exact polynomial quotient; raises if the value is not polynomial."""

@@ -22,6 +22,9 @@ from xlegendre import (
     tau,
 )
 
+from xlegendre.admissibility import admissibility_formula
+from xlegendre.xfamily import canonicalize
+
 from helpers import rational_sturm_chain
 
 F = Fraction
@@ -172,6 +175,48 @@ def test_norms_of_untouched_levels_are_classical():
     for i in range(9):
         if i not in key.m:
             assert norm_of(key, i) == classical_norm(i)
+
+
+_HEIGHT = 2**64
+
+
+@st.composite
+def _keys_near_bound(draw):
+    # distinct levels; each parameter either of height up to 2^64 or within
+    # 1/q of the bound -m - 1/2 (at it, above or below)
+    levels = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    ts = []
+    for m in levels:
+        if draw(st.booleans()):
+            side = draw(st.sampled_from((-1, 0, 1)))
+            ts.append(-m - F(1, 2) + side * F(1, draw(st.integers(1, _HEIGHT))))
+        else:
+            ts.append(F(draw(st.integers(-_HEIGHT, _HEIGHT)), draw(st.integers(1, _HEIGHT))))
+    return FamilyKey(tuple(levels), tuple(ts))
+
+
+@given(_keys_near_bound())
+@example(FamilyKey((0,), (F(-1, 2),)))
+@example(FamilyKey((3, 1), (F(-7, 2) + F(1, _HEIGHT), F(-3, 2) - F(1, _HEIGHT))))
+@example(FamilyKey((2,), (F(-_HEIGHT, 3),)))
+def test_norm_and_admissibility_match_fraction_formulas(key):
+    canon = canonicalize(key)
+    admissible = all(t > -m - F(1, 2) for m, t in zip(canon.m, canon.t))
+    assert admissibility_formula(key) is admissible
+    params = dict(zip(canon.m, canon.t))
+    for i in range(11):
+        if admissible:
+            assert norm_of(key, i) == F(2) / (1 + 2 * i + 2 * params.get(i, 0))
+        else:
+            with pytest.raises(InadmissibleKeyError):
+                norm_of(key, i)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_admissibility_bound_is_strict(m):
+    bound = -m - F(1, 2)
+    for eps, verdict in ((F(0), False), (F(1, _HEIGHT), True), (-F(1, _HEIGHT), False)):
+        assert admissibility_formula(FamilyKey((m,), (bound + eps,))) is verdict
 
 
 # -- orthogonality reports -----------------------------------------------------------

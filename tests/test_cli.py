@@ -124,6 +124,20 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, command, target):
     assert res.output == ""
 
 
+def test_verify_refuses_unwritable_out_before_any_suite(tmp_path, monkeypatch):
+    def never(key, max_i):
+        pytest.fail("a suite ran before --out was opened")
+
+    for name in cli._SUITE_RUNNERS:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, name, never)
+    out = tmp_path / "missing" / "x.json"
+    res = _run("verify", "--m", "63", "--t", "1", "--max-i", "12", "--suites", "all",
+               "--out", str(out))
+    assert res.exit_code == 2
+    assert f"cannot write --out {out}: " in res.stderr
+    assert res.output == ""
+
+
 def test_gen_invalid_inputs_exit_2():
     assert _run("gen", "--m", "1", "--t", "x").exit_code == 2
     assert _run("gen", "--m", "1,2", "--t", "1").exit_code == 2

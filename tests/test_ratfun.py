@@ -1,11 +1,24 @@
 """Canonical rational functions: reduction, arithmetic, evaluation, poles."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
-from xlegendre import InexactDivisionError, PoleError, Poly, RatFun, poly_dot
+import xlegendre.polyring as polyring
+import xlegendre.ratfun as ratfun
+from xlegendre import (
+    FamilyKey,
+    InexactDivisionError,
+    PoleError,
+    Poly,
+    RatFun,
+    family,
+    norm_of,
+    poly_dot,
+)
 
 rats = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 polys = st.lists(rats, min_size=0, max_size=5).map(Poly)
@@ -207,3 +220,49 @@ def test_deferred_zero_numerator():
     assert not RatFun.of([(a, b)], Z - 1).is_zero
     with pytest.raises(ZeroDivisionError):
         RatFun.of([(a, b)], Poly.zero())
+
+
+# -- values at a point as integer pairs ----------------------------------------------
+
+# factors over different denominators; points off the integers and below zero
+wide_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=4
+).map(Poly)
+products = st.lists(wide_polys, min_size=2, max_size=3)
+points = st.builds(Fraction, st.integers(-40, 40), st.integers(2, 9)) | st.integers(-5, -1).map(
+    Fraction
+)
+
+
+@given(st.lists(products, max_size=4), wide_polys.filter(bool), points)
+def test_deferred_value_matches_reduced_pair(terms, den, x):
+    reduced = RatFun.of(terms, den)
+    num_r, den_r = reduced.num, reduced.den
+    built = sum((reduce(mul, t) for t in terms), Poly.zero())
+    for value in (RatFun.of(terms, den), RatFun.of(built, den)):
+        if den_r.evaluate(x) == 0:
+            with pytest.raises(PoleError):
+                value.evaluate(x)
+        else:
+            assert value.evaluate(x) == num_r.evaluate(x) / den_r.evaluate(x)
+
+
+def test_diagonal_overlap_reads_tau_once(monkeypatch):
+    key = FamilyKey((1, 2), (Fraction(1), Fraction(-1, 4)))
+    fam = family(key)
+    tau_nums = fam.tau._nums
+    assert len(tau_nums) > 1
+    calls = []
+    horner = polyring._horner
+
+    def counted(nums, xn, xd):
+        if nums is tau_nums:
+            calls.append((xn, xd))
+        return horner(nums, xn, xd)
+
+    monkeypatch.setattr(polyring, "_horner", counted)
+    monkeypatch.setattr(ratfun, "_horner", counted, raising=False)
+    for i in (1, 3):
+        calls.clear()
+        assert fam.overlap(i, i).evaluate(1) == norm_of(key, i)
+        assert calls == [(1, 1)]
