@@ -10,11 +10,9 @@ numerical tolerance.
 
 from .admissibility import (
     InadmissibleKeyError,
-    SturmChain,
+    admissibility_formula,
     admissibility_record,
-    is_admissible,
     norm_of,
-    norm_table,
     orthogonality_check,
     root_count,
 )
@@ -65,8 +63,8 @@ __all__ = [
     "Rat",
     "RatFun",
     "RecursiveFamily",
-    "SturmChain",
     "XFamily",
+    "admissibility_formula",
     "admissibility_record",
     "build_matrix",
     "canonicalize",
@@ -75,11 +73,9 @@ __all__ = [
     "exceptional_poly",
     "expected_degree",
     "family",
-    "is_admissible",
     "legendre_poly",
     "missing_degrees",
     "norm_of",
-    "norm_table",
     "orthogonality_check",
     "overlap_R",
     "parse_rat",

@@ -7,10 +7,12 @@ finite and positive there, and the family polynomials are orthogonal with
     norm(i) = 2/(1+2i)          for levels the key does not deform,
     norm(i) = 2/(1+2i+2*t_i)    for deformed levels.
 
-The zero-free condition is decidable exactly with a Sturm chain, and the
-package treats the equivalence of the two verdicts as an invariant: a
-disagreement is a hard error, never a silent preference.  Since tau(-1) = 1,
-"no zeros on [-1, 1]" and "positive on [-1, 1]" coincide.
+The verdict is ``admissibility_formula``.  The zero-free condition is also
+decidable exactly, by Sturm's root count of tau on [-1, 1], and
+``admissibility_record`` holds both verdicts: their equivalence is an
+invariant of the construction, which the ``ortho`` suite of ``verify`` and
+the tests check, never a silent preference.  Since tau(-1) = 1, "no zeros on
+[-1, 1]" and "positive on [-1, 1]" coincide.
 """
 
 from __future__ import annotations
@@ -18,21 +20,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Poly, Rat, RatLike, remainder_sequence
+from .polyring import Poly, RatLike, remainder_sequence
 from .record import Record
 from .xfamily import FamilyKey, canonicalize, family, tau
 
 __all__ = [
     "InadmissibleKeyError",
-    "SturmChain",
     "AdmissibilityRecord",
     "OrthogonalityEntry",
     "OrthogonalityReport",
     "admissibility_formula",
     "admissibility_record",
-    "is_admissible",
     "norm_of",
-    "norm_table",
     "orthogonality_check",
     "root_count",
 ]
@@ -40,31 +39,6 @@ __all__ = [
 
 class InadmissibleKeyError(ValueError):
     """Operation requires an admissible key (weight finite on [-1, 1])."""
-
-
-class SturmChain(Record):
-    """Sign-variation chain: p, p', then negated remainders down to the gcd.
-
-    The chain is ``remainder_sequence(p, p')``: every element is its
-    primitive integer part, each a positive multiple of the Sturm element
-    over Q, so sign patterns are untouched and coefficients stay integers.
-    """
-
-    chain: tuple[Poly, ...]
-
-    @classmethod
-    def of(cls, p: Poly) -> "SturmChain":
-        if p.is_zero:
-            raise ValueError("Sturm chain of the zero polynomial")
-        return cls(remainder_sequence(p, p.differentiate()))
-
-    def variations_at(self, x: RatLike) -> int:
-        signs = []
-        for p in self.chain:
-            v = p.evaluate(x)
-            if v:
-                signs.append(v > 0)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def root_count(p: Poly, lo: RatLike, hi: RatLike) -> int:
@@ -84,8 +58,16 @@ def root_count(p: Poly, lo: RatLike, hi: RatLike) -> int:
                 q = q.exact_div(linear)
     if q.degree <= 0:
         return endpoint_roots
-    chain = SturmChain.of(q)
-    return chain.variations_at(lo) - chain.variations_at(hi) + endpoint_roots
+    # Sturm's theorem: the roots in (lo, hi) are the sign changes that the
+    # chain of q and q' loses from lo to hi; each element of
+    # remainder_sequence is a positive multiple of the chain's element over Q
+    chain = remainder_sequence(q, q.differentiate())
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + endpoint_roots
+
+
+def _sign_changes(chain: Sequence[Poly], x: Fraction) -> int:
+    signs = [v > 0 for v in (p.evaluate(x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def admissibility_formula(key: FamilyKey) -> bool:
@@ -125,25 +107,6 @@ def admissibility_record(key: FamilyKey) -> AdmissibilityRecord:
     )
 
 
-def is_admissible(key: FamilyKey, cross_check: bool = False) -> bool:
-    """Admissibility verdict by the parameter bounds.
-
-    With ``cross_check`` the Sturm count of tau on [-1, 1] is computed as
-    well and any disagreement with the formula raises: the equivalence of the
-    two criteria is an invariant of the construction, not a choice.
-    """
-    verdict = admissibility_formula(key)
-    if cross_check:
-        record = admissibility_record(key)
-        if not record.consistent:
-            raise AssertionError(
-                f"admissibility formula and Sturm count disagree for {key}: "
-                f"formula={record.formula_verdict}, "
-                f"roots={record.roots_in_interval}"
-            )
-    return verdict
-
-
 def norm_of(key: FamilyKey, i: int) -> Fraction:
     """Squared weighted norm of the i-th family polynomial."""
     key = canonicalize(key)
@@ -162,11 +125,6 @@ def _norm(key: FamilyKey, i: int) -> Fraction:
         q = t.denominator
         return Fraction(2 * q, (2 * i + 1) * q + 2 * t.numerator)
     return Fraction(2, 2 * i + 1)
-
-
-def norm_table(key: FamilyKey, max_i: int) -> dict[int, Fraction]:
-    """Norms for indices 0..max_i; all positive for admissible keys."""
-    return {i: norm_of(key, i) for i in range(max_i + 1)}
 
 
 class OrthogonalityEntry(Record):
@@ -225,7 +183,7 @@ def orthogonality_check(key: FamilyKey, max_i: int) -> OrthogonalityReport:
     entries = []
     for i1 in range(max_i + 1):
         for i2 in range(i1, max_i + 1):
-            expected = norm_of(key, i1) if i1 == i2 else Fraction(0)
+            expected = _norm(key, i1) if i1 == i2 else Fraction(0)
             actual = fam.overlap(i1, i2).evaluate(1)
             entries.append(OrthogonalityEntry(i1, i2, expected, actual))
     return OrthogonalityReport(key, max_i, tuple(entries))

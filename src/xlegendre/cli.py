@@ -108,6 +108,8 @@ def _parse_key(m_str: str, t_str: str) -> FamilyKey:
         return FamilyKey(m, t)
     except ValueError as exc:
         raise UsageError(f"invalid family key: {exc}") from exc
+    except ZeroDivisionError:
+        raise UsageError("invalid family key: --t has a zero denominator") from None
 
 
 def _parse_indices(spec_str: str) -> list[int]:

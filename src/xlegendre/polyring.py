@@ -23,17 +23,16 @@ instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
 polynomials up to index 12, elimination and chain steps and a built overlap
 numerator (``xfamily``), and the operator numerator and factorization
-triples (``operators``) are one such sum each.  Beside it,
-``poly_dot_at(terms, x)`` is the value at a point of a sum whose terms are
-products of any number of factors, with no product built: one integer Horner
-pass per factor (the loop ``Poly.evaluate`` runs too), up to the first
-factor of a term that vanishes at the point.  Its integer core ``_dot_at``
-returns the sum as one integer numerator over one integer denominator, and
-the value is one ``Fraction``; ``RatFun.evaluate`` reads the same pair and
-hands it a factor it has already read (the denominator), so that factor's
-pass is not run twice.  An overlap evaluated at z = 1 or z = -1 reads its
-numerator this way and never builds it: there nearly every term ends at its
-first factor, a classical overlap.
+triples (``operators``) are one such sum each.  Beside it, ``_dot_at``
+reads the value at a point of a sum whose terms are products of any number
+of factors, with no product built: one integer Horner pass per factor (the
+loop ``Poly.evaluate`` runs too), up to the first factor of a term that
+vanishes at the point, and the sum as one integer numerator over one integer
+denominator.  ``RatFun.evaluate`` hands it a factor it has already read (the
+denominator), so that factor's pass is not run twice, and makes the pair one
+``Fraction``.  An overlap evaluated at z = 1 or z = -1 reads its numerator
+this way and never builds it: there nearly every term ends at its first
+factor, a classical overlap.
 ``FixedOperands`` holds polynomials that many zero tests share (an
 operator's coefficients) over one denominator, and keeps their Kronecker
 packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
@@ -73,7 +72,6 @@ __all__ = [
     "parse_rat",
     "rat_str",
     "poly_dot",
-    "poly_dot_at",
     "FixedOperands",
     "kronecker_slots",
     "poly_gcd",
@@ -462,12 +460,6 @@ class Poly:
         den = s * self._den
         return Poly._raw([v * other._den for v in q], den), Poly._raw(r, den)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Quotient self/other, raising InexactDivisionError on a remainder."""
         q = self.exact_div_or_none(other)
@@ -674,30 +666,19 @@ class FixedOperands:
         return not total
 
 
-def poly_dot_at(terms: Iterable[Sequence[Poly]], x: RatLike) -> Fraction:
-    """The value at x of the sum of the products of the factors in each term.
-
-    A term is a sequence of one or more polynomials.  Each distinct factor
-    is one integer Horner pass, however many terms share it, and a term
-    stops at its first factor that vanishes at x; the sum is one integer
-    pair (``_dot_at``) and one ``Fraction``.
-    """
-    x = Fraction(x)
-    num, den = _dot_at(terms, x.numerator, x.denominator, {})
-    return Fraction(num, den)
-
-
 def _dot_at(
     terms: Iterable[Sequence[Poly]], xn: int, xd: int, seen: dict
 ) -> tuple[int, int]:
-    """(num, den) with num/den the value of ``poly_dot_at(terms, xn/xd)``,
-    den > 0, not reduced.
+    """(num, den) with num/den the value at xn/xd of the sum of the products
+    of the factors in each term, den > 0, not reduced.
 
-    ``seen`` maps id(f) to (f, the Horner pair of f's integer numerators);
-    it is filled as factors are read, and a caller may seed it with a factor
-    it has already read.  Holding f keeps its id.  A term's denominator is
-    brought to the running one by their gcd, and not at all when they are
-    equal.
+    A term is a sequence of one or more polynomials.  Each distinct factor
+    is one integer Horner pass, however many terms share it, and a term
+    stops at its first factor that vanishes at the point.  ``seen`` maps
+    id(f) to (f, the Horner pair of f's integer numerators); it is filled as
+    factors are read, and a caller may seed it with a factor it has already
+    read.  Holding f keeps its id.  A term's denominator is brought to the
+    running one by their gcd, and not at all when they are equal.
     """
     num, den = 0, 1
     for factors in terms:

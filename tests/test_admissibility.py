@@ -10,19 +10,17 @@ from xlegendre import (
     FamilyKey,
     InadmissibleKeyError,
     Poly,
-    SturmChain,
+    admissibility_formula,
     admissibility_record,
     classical_norm,
-    is_admissible,
     legendre_poly,
     norm_of,
-    norm_table,
     orthogonality_check,
     root_count,
     tau,
 )
 
-from xlegendre.admissibility import admissibility_formula
+from xlegendre.polyring import remainder_sequence
 from xlegendre.xfamily import canonicalize
 
 from helpers import rational_sturm_chain
@@ -35,7 +33,7 @@ F = Fraction
 
 def test_sturm_chain_shape():
     p = Poly([-2, 0, 1])  # z^2 - 2
-    chain = SturmChain.of(p).chain
+    chain = remainder_sequence(p, p.differentiate())
     assert chain[0] == p.primitive_part()
     assert chain[1] == Poly([0, 1])  # derivative 2z, primitive
     assert chain[-1].degree == 0
@@ -59,7 +57,7 @@ _sturm_polys = st.one_of(
 @example(Poly([1, 0, 0, 0, 1]))  # z^4 + 1 by z^3 leaves 1: degree drops by 3
 @example(Poly([0, -1, 0, 0, 0, 2]))  # 2z^5 - z: degree drops from 4 to 1
 def test_sturm_chain_matches_rational_chain(p):
-    assert SturmChain.of(p).chain == rational_sturm_chain(p)
+    assert remainder_sequence(p, p.differentiate()) == rational_sturm_chain(p)
 
 
 def test_root_count_endpoints():
@@ -107,14 +105,17 @@ def test_root_count_rejects_bad_input():
 
 
 def test_admissibility_examples():
-    assert is_admissible(FamilyKey((4,), (F(26, 5),)))
-    assert is_admissible(FamilyKey((1, 2), (F(2), F(-8, 5))))  # -8/5 > -5/2
-    assert not is_admissible(FamilyKey((0,), (F(-1, 2),)))  # boundary excluded
+    assert admissibility_formula(FamilyKey((4,), (F(26, 5),)))
+    assert admissibility_formula(FamilyKey((1, 2), (F(2), F(-8, 5))))  # -8/5 > -5/2
+    assert not admissibility_formula(FamilyKey((0,), (F(-1, 2),)))  # boundary excluded
 
 
 def test_admissibility_cross_check_runs():
-    assert is_admissible(FamilyKey((3,), (F(-1, 4),)), cross_check=True)
-    assert not is_admissible(FamilyKey((1,), (F(-2),)), cross_check=True)
+    # the formula's verdict, and the Sturm count of tau agreeing with it
+    for key, verdict in ((FamilyKey((3,), (F(-1, 4),)), True), (FamilyKey((1,), (F(-2),)), False)):
+        record = admissibility_record(key)
+        assert admissibility_formula(key) is record.formula_verdict is verdict
+        assert record.consistent
 
 
 def test_admissibility_record_consistency_grid():
@@ -132,10 +133,10 @@ def test_admissibility_record_consistency_grid():
 def test_admissibility_answers_for_merged_duplicate_levels():
     # {3: -4} alone is inadmissible, but the duplicates merge into {3: 1/2}
     key = FamilyKey((3, 3), (F(-4), F(9, 2)))
-    assert is_admissible(key, cross_check=True)
+    assert admissibility_formula(key)
     record = admissibility_record(key)
     assert record.key == FamilyKey((3,), (F(1, 2),))
-    assert record.consistent and record.roots_in_interval == 0
+    assert record.formula_verdict and record.consistent and record.roots_in_interval == 0
 
 
 def test_admissibility_two_level_mixed():
@@ -166,8 +167,7 @@ def test_norm_table_positive_for_admissible():
         FamilyKey((1, 2), (F(2), F(-8, 5))),
         FamilyKey((0, 3), (F(-1, 4), F(7, 2))),
     ):
-        table = norm_table(key, 10)
-        assert all(v > 0 for v in table.values())
+        assert all(norm_of(key, i) > 0 for i in range(11))
 
 
 def test_norms_of_untouched_levels_are_classical():

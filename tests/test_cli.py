@@ -107,12 +107,15 @@ def test_gen_refused_input_creates_no_out_file(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
+_EVERY_COMMAND = [
     ("gen", "--i", "0..1"),
     ("verify", "--max-i", "2", "--suites", "degree"),
     ("weight", "--samples", "3"),
     ("degrees", "--max-i", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
 @pytest.mark.parametrize("target", ["missing directory", "directory"])
 def test_unwritable_out_exits_2_without_traceback(tmp_path, command, target):
     out = tmp_path / "missing" / "x.out" if target == "missing directory" else tmp_path
@@ -122,6 +125,19 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, command, target):
     assert f"cannot write --out {out}: " in res.stderr
     assert "Traceback" not in res.stderr
     assert res.output == ""
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("t", ["1/0", "0/0"])
+def test_zero_denominator_in_t_exits_2_without_traceback(tmp_path, command, t):
+    out = tmp_path / "x.out"
+    name, *rest = command
+    res = _run(name, "--m", "1", "--t", t, *rest, "--out", str(out))
+    assert res.exit_code == 2
+    assert "invalid family key" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.output == ""
+    assert not out.exists()
 
 
 def test_verify_refuses_unwritable_out_before_any_suite(tmp_path, monkeypatch):

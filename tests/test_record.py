@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from xlegendre import FamilyKey, Poly, RecursiveFamily, SturmChain, recursive_family, tau
+from xlegendre import FamilyKey, Poly, RecursiveFamily, recursive_family
 from xlegendre.admissibility import (
     AdmissibilityRecord,
     OrthogonalityEntry,
@@ -41,7 +41,6 @@ def _fields() -> dict:
             "overlaps": dict(rf.overlaps),
             "max_index": rf.max_index,
         },
-        SturmChain: {"chain": SturmChain.of(tau(KEY)).chain},
         AdmissibilityRecord: {"key": KEY, "formula_verdict": True, "roots_in_interval": 0},
         OrthogonalityEntry: {"i1": 0, "i2": 1, "expected": F(0), "actual": F(1, 3)},
         OrthogonalityReport: {

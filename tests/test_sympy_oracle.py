@@ -49,21 +49,30 @@ def test_divmod_matches_sympy(a, b):
     assert tuple(map(_to_sympy, divmod(a, b))) == expected
 
 
+_POINTS = [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "3/2")]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     _poly(4, min_size=1),
     _poly(3),
-    st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(1)]),
+    st.sampled_from(_POINTS),
+    st.lists(st.sampled_from(_POINTS), min_size=2, max_size=2, unique=True).map(sorted),
 )
-@example(Poly([-1, 0, 1]), Poly([1]), Fraction(1))  # roots at both ends
-@example(Poly([Fraction(-1, 4), 0, 1]), Poly([3, 1]), Fraction(1, 2))
-def test_root_count_matches_sympy(a, b, r):
-    # a squared factor and a root at r in [-1, 1] make repeated and interior roots
+@example(Poly([-1, 0, 1]), Poly([1]), Fraction(1), [-1, 1])  # roots at both ends
+@example(Poly([Fraction(-1, 4), 0, 1]), Poly([3, 1]), Fraction(1, 2), [-1, 1])
+@example(Poly([2, 1]), Poly([1]), Fraction(-1, 2), [Fraction(-1, 2), 1])  # root at lo
+@example(Poly([-3, 1]), Poly([1]), Fraction(3, 2), [0, Fraction(3, 2)])  # root at hi
+@example(Poly([1, 0, 1]), Poly([Fraction(-1, 3), 1]), -2, [Fraction(-1, 2), 1])  # double root
+def test_root_count_matches_sympy(a, b, r, interval):
+    # a squared factor and a root at r make repeated, interior and endpoint
+    # roots of the interval [lo, hi]
+    lo, hi = interval
     p = a * b * b * Poly([-r, 1])
     assume(not p.is_zero)
     roots = _to_sympy(p).sqf_part().real_roots()
-    expected = sum(1 for x in roots if bool(x >= -1) and bool(x <= 1))
-    assert root_count(p, -1, 1) == expected
+    expected = sum(1 for x in roots if bool(x >= lo) and bool(x <= hi))
+    assert root_count(p, lo, hi) == expected
 
 
 def _matrices(max_n: int):
