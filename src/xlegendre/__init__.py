@@ -45,7 +45,6 @@ from .xfamily import (
     expected_degree,
     family,
     missing_degrees,
-    q_vector,
     recursive_family,
     tau,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "parse_rat",
     "poly_dot",
     "poly_gcd",
-    "q_vector",
     "rat_str",
     "recursive_family",
     "root_count",

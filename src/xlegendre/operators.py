@@ -49,7 +49,7 @@ from functools import lru_cache
 
 from .polyring import FixedOperands, Poly, poly_dot
 from .record import Record
-from .xfamily import FamilyKey, exceptional_poly, family, tau
+from .xfamily import FamilyKey, canonicalize, exceptional_poly, family, tau
 
 __all__ = [
     "FactorizationReport",
@@ -63,6 +63,7 @@ __all__ = [
 
 _ONE_MINUS_Z2 = Poly([1, 0, -1])
 _TWO_Z = Poly([0, 2])
+_MINUS_ONE = Poly([-1])
 
 # (C2, C1, C0) of the operator f -> C2*f'' + C1*f' + C0*f
 _Triple = tuple[Poly, Poly, Poly]
@@ -114,11 +115,11 @@ class IdentityCheck(Record):
     passed: bool
     counterexample_probe: Poly | None
 
-    def to_json_obj(self, key: FamilyKey, i: int | None = None) -> dict:
+    def to_json_obj(self, key: FamilyKey) -> dict:
         return {
             "identity": self.identity,
             "key": key.to_json_obj(),
-            "i": i,
+            "i": None,
             "pass": self.passed,
             "counterexample_probe": (
                 None
@@ -152,15 +153,13 @@ class FactorizationReport(Record):
 
 
 def _step_context(key: FamilyKey, m_step: int):
+    """(canonical key, base key, tau0, tau1, phi) of the step that adds
+    ``m_step`` to the canonical key with that level removed."""
+    key = canonicalize(key)
     if m_step not in key.m:
         raise ValueError(f"level {m_step} is not part of the key {key}")
     base = key.without(key.m.index(m_step))
-    tau0 = tau(base)
-    tau1 = tau(key)
-    phi = exceptional_poly(base, m_step)
-    if phi.is_zero:
-        raise ValueError("factorization operator polynomials must be nonzero")
-    return base, tau0, tau1, phi
+    return key, base, tau(base), tau(key), exceptional_poly(base, m_step)
 
 
 def _ba(tau_a: Poly, tau_b: Poly, phi: Poly) -> _Triple:
@@ -192,7 +191,11 @@ def _factor_difference(tau_val: Poly, phi: Poly, lam: int) -> _Triple:
     a, b, c, _ = _coefficients(tau_val).polys
     ba2, ba1, ba0 = _ba(tau_val, tau_val, phi)
     pt = phi * tau_val
-    return pt * a - ba2, pt * b - ba1, pt * (c - tau_val.scale(lam)) - ba0
+    return (
+        poly_dot(((pt, a), (ba2, _MINUS_ONE))),
+        poly_dot(((pt, b), (ba1, _MINUS_ONE))),
+        poly_dot(((pt, c), (pt, tau_val.scale(-lam)), (ba0, _MINUS_ONE))),
+    )
 
 
 def _first_failing_probe(difference: _Triple) -> Poly | None:
@@ -207,7 +210,9 @@ def verify_factorization(key: FamilyKey, m_step: int) -> FactorizationReport:
     """Check the three operator identities certifying one deformation step.
 
     The step adds level ``m_step`` to the family obtained by removing it from
-    ``key``; tau0, tau1 are the deformation polynomials before and after it
+    the canonical form of ``key``, the key the report carries (a level whose
+    parameters cancel is not a step and raises ``ValueError``); tau0, tau1
+    are the deformation polynomials before and after it
     and lambda_m = -m(m+1).  Cleared of its denominator, each identity's
     difference is a triple (module docstring), zero exactly when it holds:
 
@@ -223,7 +228,7 @@ def verify_factorization(key: FamilyKey, m_step: int) -> FactorizationReport:
     names the probes 1, z, ..., z^D of the report format; a passing identity
     holds on all of them.
     """
-    base, tau0, tau1, phi = _step_context(key, m_step)
+    key, _, tau0, tau1, phi = _step_context(key, m_step)
     lam = eigenvalue(m_step)
     probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
     ab0, ab1 = _ab(tau0, phi), _ab(tau1, phi)
@@ -259,7 +264,7 @@ def verify_intertwining(key: FamilyKey, m_step: int, i: int) -> bool:
     """
     if i == m_step:
         raise ValueError("intertwining check requires i distinct from the step level")
-    base, tau0, tau1, phi = _step_context(key, m_step)
+    key, base, tau0, tau1, phi = _step_context(key, m_step)
     pi_i = exceptional_poly(base, i)
     pi_mi = exceptional_poly(key, i)
     factor = eigenvalue(i) - eigenvalue(m_step)

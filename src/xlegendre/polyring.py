@@ -20,7 +20,9 @@ canonical form we need.
 terms)``: all products share one denominator and, for large operands, one
 Kronecker slot width and one unpack, and the result is normalized once
 instead of once per multiply, scale and add.  Every product, single or
-summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  Family
+summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  So is every
+sum and difference: ``a + b`` and ``a - b`` are the two-term sums of
+``a * 1`` and ``b * 1`` or ``b * -1``.  Family
 polynomials up to index 12, elimination and chain steps and a built overlap
 numerator (``xfamily``), and the operator numerator and factorization
 triples (``operators``) are one such sum each.  Beside it, ``_dot_at``
@@ -351,20 +353,7 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        an, ad = self._nums, self._den
-        bn, bd = other._nums, other._den
-        g = math.gcd(ad, bd)
-        ma, mb = bd // g, ad // g
-        den = ad * ma
-        if len(an) >= len(bn):
-            out = [v * ma for v in an]
-            for i, v in enumerate(bn):
-                out[i] += v * mb
-        else:
-            out = [v * mb for v in bn]
-            for i, v in enumerate(an):
-                out[i] += v * ma
-        return Poly._raw(out, den)
+        return poly_dot(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
@@ -372,13 +361,13 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return poly_dot(((self, _ONE), (other, _MINUS_ONE)))
 
     def __rsub__(self, other: "Poly | RatLike") -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return poly_dot(((other, _ONE), (self, _MINUS_ONE)))
 
     def __neg__(self) -> "Poly":
         if not self._nums:
@@ -552,6 +541,7 @@ def _coerce(value: object) -> Poly | None:
 
 _ZERO = Poly()
 _ONE = Poly([1])
+_MINUS_ONE = Poly([-1])
 _X = Poly([0, 1])
 
 

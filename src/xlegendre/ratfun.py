@@ -7,11 +7,17 @@ plain coefficient comparison, which is what lets every verification in this
 package assert with zero tolerance.
 
 ``RatFun.of`` rejects a zero denominator at once but defers the reduction to
-the first read of ``num`` or ``den`` (equality, hashing, arithmetic, ``str``
-and ``to_json`` all read them).  It also takes the numerator as a sum of
-products of two or more factors each, which it defers the same way: at that
-first read (or at ``is_zero``) each product of more than two factors is
-multiplied down to a pair, and one ``poly_dot`` sums the pairs.
+the first read of ``num`` or ``den`` (equality, hashing, arithmetic and
+``str`` all read them).  It also takes the numerator as a sum of products of
+two or more factors each, which it defers the same way: at that first read
+(or at ``is_zero``) each product of more than two factors is multiplied
+down to a pair, and one ``poly_dot`` sums the pairs.  That first read,
+``_reduce``, is the one reduction: a sum is the deferred ``a*d + c*b`` over
+``b*d`` and a derivative the deferred quotient rule ``u'*v - u*v'`` over
+``v*v``, both reduced there.  Only ``__mul__`` cancels before it, each
+numerator against the other factor's denominator, which keeps the products
+small (without it the level-by-level overlap oracle in the tests ran more
+than twice as long); the quotient is the product with the swapped pair.
 ``evaluate`` uses the unreduced pair when its denominator does not vanish at
 the point, reading a deferred numerator from its factors' values
 (``polyring._dot_at``), so a value that is only evaluated never pays for a
@@ -28,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .polyring import (
     InexactDivisionError,
@@ -153,12 +159,7 @@ class RatFun:
             return NotImplemented
         a, b = self.num, self.den
         c, d = other.num, other.den
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            bb, dd = b.exact_div(g), d.exact_div(g)
-        else:
-            bb, dd = b, d
-        return RatFun.of(a * dd + c * bb, b * dd)
+        return RatFun.of(((a, d), (c, b)), b * d)
 
     __radd__ = __add__
 
@@ -207,7 +208,8 @@ class RatFun:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFun(other.den, other.num)._renormalized()
+        # the swapped pair is coprime, and the product's denominator is monic
+        return self * RatFun(other.den, other.num)
 
     def __rtruediv__(self, other: object) -> "RatFun":
         other = _coerce(other)
@@ -215,22 +217,11 @@ class RatFun:
             return NotImplemented
         return other / self
 
-    def _renormalized(self) -> "RatFun":
-        lc = self.den.leading_coefficient
-        if lc == 1:
-            return self
-        inv = 1 / lc
-        return RatFun(self.num.scale(inv), self.den.scale(inv))
-
     # -- analysis -----------------------------------------------------------------
 
     def derivative(self) -> "RatFun":
         u, v = self.num, self.den
-        if self.is_polynomial:
-            return RatFun.of(u.differentiate(), v)
-        return RatFun.of(
-            u.differentiate() * v - u * v.differentiate(), v * v
-        )
+        return RatFun.of(((u.differentiate(), v), (u, -v.differentiate())), v * v)
 
     def evaluate(self, x: RatLike) -> Fraction:
         """Exact value at x; raises PoleError on a pole.
@@ -256,8 +247,8 @@ class RatFun:
 
     def as_polynomial(self) -> Poly:
         """The exact polynomial quotient; raises if the value is not polynomial."""
-        if self.is_polynomial:
-            return self.num.scale(1 / self.den.leading_coefficient)
+        if self.is_polynomial:  # the denominator is monic, so it is 1
+            return self.num
         raise InexactDivisionError(
             "rational function is not a polynomial (nonconstant denominator)"
         )
@@ -283,15 +274,6 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self!s})"
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> Mapping[str, Sequence[str]]:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Sequence[str]]) -> "RatFun":
-        return cls.of(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
 
 
 _ZERO = RatFun(Poly.zero(), Poly.one())

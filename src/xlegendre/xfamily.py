@@ -139,7 +139,6 @@ __all__ = [
     "expected_degree",
     "family",
     "missing_degrees",
-    "q_vector",
     "recursive_family",
     "tau",
 ]
@@ -274,14 +273,6 @@ class PolyMatrix:
         if len(vector) != self.n:
             raise ValueError("vector length must match matrix size")
         return tuple(poly_dot(zip(row, vector)) for row in self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
 
 def _gauss_jordan(rows: tuple[tuple[Poly, ...], ...]) -> tuple[Poly, PolyMatrix | None]:
@@ -449,17 +440,6 @@ def tau(key: FamilyKey) -> Poly:
     return family(key).tau
 
 
-def q_vector(key: FamilyKey) -> tuple[Poly, ...]:
-    """Adjugate of the deformation matrix applied to (P_{m_1}, ..., P_{m_n}).
-
-    The output is positional, one entry per entry of ``key`` as given, so a
-    non-canonical key is not canonicalized: its own matrix is expanded.
-    """
-    if key.is_canonical:
-        return family(key).q
-    return _q_raw(key)
-
-
 def exceptional_poly(key: FamilyKey, i: int) -> Poly:
     """The i-th family polynomial (equals P_i when the key is empty)."""
     if i < 0:
@@ -468,12 +448,11 @@ def exceptional_poly(key: FamilyKey, i: int) -> Poly:
 
 
 def expected_degree(key: FamilyKey, i: int) -> int:
-    """Predicted degree of the i-th family polynomial (distinct levels only).
+    """Predicted degree of the i-th family polynomial of the canonical key.
 
-    Zero-parameter levels deform nothing and are dropped first.
+    Duplicate levels merge and zero-parameter levels, which deform nothing,
+    are dropped first.
     """
-    if len(set(key.m)) != len(key.m):
-        raise ValueError("degree formula requires distinct levels")
     key = canonicalize(key)
     base = 2 * sum(key.m) + key.n + i
     if i in key.m:
@@ -621,7 +600,8 @@ def recursive_family(key: FamilyKey, max_i: int) -> RecursiveFamily:
 
 
 class XFamily:
-    """One canonical family: its matrix, tau, adjugate and q, computed once.
+    """One canonical family: tau, the adjugate and q, computed once from its
+    matrix, which is not kept.
 
     Construction is single-writer; afterwards the instance is immutable apart
     from memo maps, whose entries are pure recomputations and therefore safe
@@ -644,7 +624,6 @@ class XFamily:
 
     __slots__ = (
         "key",
-        "matrix",
         "tau",
         "adjugate",
         "q",
@@ -659,9 +638,9 @@ class XFamily:
         if not key.is_canonical:
             raise ValueError("XFamily requires a canonical key")
         self.key = key
-        self.matrix = build_matrix(key)
-        self.tau = self.matrix.det()
-        self.adjugate = self.matrix.adjugate()
+        matrix = build_matrix(key)
+        self.tau = matrix.det()
+        self.adjugate = matrix.adjugate()
         self.q = self.adjugate.apply(tuple(legendre_poly(m) for m in key.m))
         self._neg_tq = tuple(qc.scale(-t) for t, qc in zip(key.t, self.q))
         self._xpolys: dict[int, Poly] = {}

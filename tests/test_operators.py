@@ -172,6 +172,24 @@ def test_factorization_rejects_foreign_level():
         verify_factorization(FamilyKey((1,), (F(1),)), 2)
 
 
+@pytest.mark.parametrize("t", [(F(1, 2), F(1, 2)), (F(1), F(-1))])
+def test_factorization_answers_for_the_canonical_key(t):
+    # duplicate levels merge (1/2 + 1/2 = 1) or cancel (1 - 1 = 0): a level
+    # whose parameters cancel is no step of the canonical key
+    key = FamilyKey((3, 3), t)
+    canonical = canonicalize(key)
+    if not canonical.n:
+        with pytest.raises(ValueError, match="not part of the key"):
+            verify_factorization(key, 3)
+        with pytest.raises(ValueError, match="not part of the key"):
+            verify_intertwining(key, 3, 1)
+        return
+    report = verify_factorization(key, 3)
+    assert report.passed and report == verify_factorization(canonical, 3)
+    for i in (0, 1, 2, 4, 8):
+        assert verify_intertwining(key, 3, i) and verify_intertwining(canonical, 3, i)
+
+
 def test_factorization_report_json_shape():
     report = verify_factorization(FamilyKey((0,), (F(1),)), 0)
     blob = report.to_json_obj()
@@ -343,7 +361,7 @@ def test_one_step_overlap_transformation_identity():
 
 def _oracle_factorization(key, m_step):
     """The identities probed one monomial at a time on canonical RatFuns."""
-    _, tau0, tau1, phi = operators._step_context(key, m_step)
+    _, _, tau0, tau1, phi = operators._step_context(key, m_step)
     lam = eigenvalue(m_step)
     probe_degree = 2 * max(tau0.degree, tau1.degree, phi.degree, 2) + 2
     a0, b0, a1, b1 = a_op(tau0, phi), b_op(phi, tau0), a_op(tau1, phi), b_op(phi, tau1)
@@ -374,7 +392,7 @@ def _oracle_factorization(key, m_step):
 
 
 def _oracle_intertwining(key, m_step, i):
-    base, tau0, tau1, phi = operators._step_context(key, m_step)
+    key, base, tau0, tau1, phi = operators._step_context(key, m_step)
     factor = eigenvalue(i) - eigenvalue(m_step)
     composed = apply_first_order(
         b_op(phi, tau1),
@@ -412,8 +430,8 @@ def _perturb_phi(monkeypatch):
     original = operators._step_context
 
     def perturbed(key, m_step):
-        base, tau0, tau1, phi = original(key, m_step)
-        return base, tau0, tau1, phi + Poly.monomial(3)
+        key, base, tau0, tau1, phi = original(key, m_step)
+        return key, base, tau0, tau1, phi + Poly.monomial(3)
 
     monkeypatch.setattr(operators, "_step_context", perturbed)
 

@@ -27,7 +27,6 @@ from xlegendre import (
     norm_of,
     overlap_R,
     poly_dot,
-    q_vector,
     recursive_family,
     tau,
 )
@@ -238,13 +237,13 @@ def test_tau_symmetric_under_permutation():
 
 def test_q_vector_one_level_is_classical_polynomial():
     key = FamilyKey((3,), (F(5, 7),))
-    assert q_vector(key) == (legendre_poly(3),)
+    assert family(key).q == (legendre_poly(3),)
 
 
 def test_q_vector_two_levels_display():
     t1, t2 = F(1, 2), F(-2, 3)
     key = FamilyKey((1, 2), (t1, t2))
-    q = q_vector(key)
+    q = family(key).q
     first = (Poly.one() + overlap_R(2, 2).scale(t2)) * legendre_poly(1) - (
         overlap_R(1, 2).scale(t2) * legendre_poly(2)
     )
@@ -291,7 +290,7 @@ def test_polynomial_independent_of_extension_parameter():
     reference = exceptional_poly(key, 5)
     for t_ext in (F(0), F(1), F(-3, 7)):
         extended = key.extended(5, t_ext)
-        assert q_vector(extended)[-1] == reference
+        assert _q_raw(extended)[-1] == reference
 
 
 def test_polynomial_classical_anchor_at_zero_parameters():
@@ -345,9 +344,16 @@ def test_missing_degrees_counts():
     assert missing == [d for d in range(max(attained)) if d not in attained][: len(missing)]
 
 
-def test_expected_degree_requires_distinct_levels():
-    with pytest.raises(ValueError):
-        expected_degree(FamilyKey((2, 2), (F(1), F(1))), 0)
+@pytest.mark.parametrize("t", [(F(1, 2), F(1, 2)), (F(1), F(-1))])
+def test_expected_degree_answers_for_the_canonical_key(t):
+    # duplicate levels merge (1/2 + 1/2 = 1) or cancel (1 - 1 = 0, the classical key)
+    key = FamilyKey((3, 3), t)
+    canonical = canonicalize(key)
+    assert canonical.n == (t[0] + t[1] != 0)
+    assert missing_degrees(key) == missing_degrees(canonical)
+    for i in range(9):
+        degree = exceptional_poly(key, i).degree
+        assert expected_degree(key, i) == expected_degree(canonical, i) == degree, i
 
 
 def test_degrees_drop_zero_parameter_levels():
@@ -535,7 +541,7 @@ def _assert_overlap_matches_built_numerator(key, i, j, points):
     for x in points:
         assert _value_or_pole(deferred, x) == _value_or_pole(built, x), (key, i, j, x)
     assert str(deferred) == str(built)
-    assert deferred.to_json() == built.to_json()
+    assert (deferred.num, deferred.den) == (built.num, built.den)
     assert deferred == built and hash(deferred) == hash(built)
 
 
@@ -738,9 +744,10 @@ def test_family_cache_returns_same_object_and_canonicalizes():
     b = family(FamilyKey((1, 2), (F(2), F(1))))
     assert a is b
     assert a.key.is_canonical
-    assert a.tau == a.matrix.det()
+    matrix = build_matrix(a.key)
+    assert a.tau == matrix.det()
     n = a.key.n
-    prod = a.adjugate.apply([a.matrix[k, 0] for k in range(n)])
+    prod = a.adjugate.apply([matrix[k, 0] for k in range(n)])
     assert prod[0] == a.tau
     assert prod[1].is_zero
 
@@ -778,6 +785,19 @@ _first_order_keys = st.integers(1, 5).flatmap(
         ),
     )
 ).map(lambda mt: canonicalize(FamilyKey(tuple(mt[0]), tuple(mt[1]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_polynomials_are_minus_one_to_the_i_at_minus_one(data):
+    # tau(-1) = 1 and every R(a, b) vanishes at -1, so P^_i(-1) = P_i(-1) on
+    # every key, inadmissible or not: an index in the key, one the
+    # determinantal sum reads (at most 12) or one the first-order route reads
+    key = data.draw(_first_order_keys)
+    i = data.draw(
+        st.one_of(st.sampled_from(key.m), st.integers(0, 12), st.integers(13, 60))
+    )
+    assert exceptional_poly(key, i).evaluate(-1) == (-1) ** i
 
 
 @settings(max_examples=25, deadline=None)
