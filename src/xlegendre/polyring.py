@@ -22,10 +22,12 @@ Kronecker slot width and one unpack, and the result is normalized once
 instead of once per multiply, scale and add.  Every product, single or
 summed, is one ``poly_dot``: ``a * b`` is the one-term sum.  So is every
 sum and difference: ``a + b`` and ``a - b`` are the two-term sums of
-``a * 1`` and ``b * 1`` or ``b * -1``.  Family
-polynomials up to index 12, elimination and chain steps and a built overlap
-numerator (``xfamily``), and the operator numerator and factorization
-triples (``operators``) are one such sum each.  Beside it, ``_dot_at``
+``a * 1`` and ``b * 1`` or ``b * -1``.  Family polynomials up to index 12,
+the first elimination and chain step and a built overlap numerator
+(``xfamily``), and the operator numerator and factorization triples
+(``operators``) are one such sum each.  Every later fraction-free step,
+``(a*b + c*d) / e``, is one ``_dot_div``: the same sum, left unnormalized,
+goes straight into the exact quotient.  Beside them, ``_dot_at``
 reads the value at a point of a sum whose terms are products of any number
 of factors, with no product built: one integer Horner pass per factor (the
 loop ``Poly.evaluate`` runs too), up to the first factor of a term that
@@ -46,11 +48,12 @@ value at z = 2^w, which is zero exactly when every coefficient is
 out the pack and unpack of one slot width to a caller that does its own
 arithmetic on packed integers (the family polynomials above index 12).
 
-One integer pseudo-division, ``_pdivmod``, is behind ``divmod``, exact
-division and the remainder sequence.  ``remainder_sequence(a, b)`` is the
-one integer primitive remainder sequence: ``poly_gcd`` reads its last
-element and the Sturm chain (``admissibility``) is the whole sequence of p
-and p'.
+Exact division (``exact_div``, ``exact_div_or_none``, ``_dot_div``) is one
+loop of exact integer quotients, ``_quotient``.  The integer pseudo-division
+``_pdivmod`` is behind ``divmod`` and the remainder sequence.
+``remainder_sequence(a, b)`` is the one integer primitive remainder
+sequence: ``poly_gcd`` reads its last element and the Sturm chain
+(``admissibility``) is the whole sequence of p and p'.
 """
 
 from __future__ import annotations
@@ -127,10 +130,18 @@ def _content(nums: Iterable[int], g: int = 0) -> int:
 # Python-level double loop by well over an order of magnitude at the degrees
 # produced by determinant expansion.
 #
-# A polynomial packs to its value at z = 2^w, w = 8 * slot_bytes: each digit
-# plus half = 2^(w-1) fills its slot as unsigned bytes, the slots are joined
-# in one pass and half * sum_k 2^(w*k) is taken off again.  A digit outside
-# [-half, half) raises OverflowError instead of spilling into its neighbour.
+# A polynomial packs to its value at z = 2^w, w = 8 * slot_bytes.  ``_pack``
+# adds half = 2^(w-1) to each digit, fills its slot as unsigned bytes, joins
+# the slots in one pass and takes half * sum_k 2^(w*k) off again; a digit
+# outside [-half, half) raises OverflowError instead of spilling into its
+# neighbour.  The kernels below pack through ``_pack_in_slot``, which takes
+# a short operand by the Horner shift loop acc = (acc << w) + v instead:
+# each shift copies the accumulator, so its cost grows as digits^2 * slot
+# bytes, and past _SHIFT_PACK_COST the byte join wins.  The shift loop
+# checks no digit (a check per digit costs most of its gain), and needs
+# none: each kernel's slot bound covers every digit it packs, in
+# ``poly_dot`` because the bound is at least every operand digit, in
+# ``FixedOperands`` because the slots are sized by ``widest``.
 #
 # Packing is linear, so a sum of products sum_k f_k * a_k * b_k is also one
 # packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
@@ -144,12 +155,13 @@ def _content(nums: Iterable[int], g: int = 0) -> int:
 # outweighs all digits below it, |sum_{j<t} c_j 2^(w*j)| < 2^(w*t): the
 # integer is zero exactly when every coefficient of the sum is.  The slots
 # must also hold every digit of every operand packed, a fixed operand whose
-# partner is zero included, or ``_pack`` raises.  A slot wider than needed is
+# partner is zero included, hence ``widest``.  A slot wider than needed is
 # still exact: both conditions only ask for a lower bound on w, so packs kept
 # at one width serve every sum that width holds.
 # ---------------------------------------------------------------------------
 
-_SCHOOLBOOK_CUTOFF = 900  # product of operand lengths below which looping wins
+_SCHOOLBOOK_CUTOFF = 300  # product of operand lengths below which looping wins
+_SHIFT_PACK_COST = 1 << 14  # digits^2 * slot bytes up to which shifting wins
 
 
 def _slot_bytes(bound: int) -> int:
@@ -182,6 +194,19 @@ def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
     ]
 
 
+def _pack_in_slot(nums: Sequence[int], slot_bytes: int) -> int:
+    """``_pack`` for digits the slot is known to hold, unchecked: a short
+    operand by the shift loop, a long one by the byte join."""
+    n = len(nums)
+    if n * n * slot_bytes > _SHIFT_PACK_COST:
+        return _pack(nums, slot_bytes)
+    w = 8 * slot_bytes
+    acc = 0
+    for v in reversed(nums):
+        acc = (acc << w) + v
+    return acc
+
+
 def kronecker_slots(bound: int):
     """(w, pack, unpack) for slots of w bits holding every digit of absolute
     value at most ``bound``: ``pack(nums)`` is the value at z = 2^w of the
@@ -192,15 +217,19 @@ def kronecker_slots(bound: int):
 
 
 # ---------------------------------------------------------------------------
-# Integer pseudo-division.
+# Integer division.
 #
-# ``_pdivmod`` is the one long division: ``divmod``, exact division and the
-# remainder sequence all read it.  It stays in integers by scaling the
-# dividend, at each nonzero top coefficient, by the least factor that makes
-# that coefficient divisible by lc(g): an exact quotient with small
-# denominators (the common case in the deformation recursion) then keeps a
-# small multiplier.  A constant divisor cancels every coefficient (r = 0) and
-# a dividend shorter than the divisor takes no step (q = 0, r = f, s = 1).
+# ``_pdivmod`` is the pseudo-division behind ``divmod`` and the remainder
+# sequence.  It stays in integers by scaling the dividend, at each nonzero
+# top coefficient, by the least factor that makes that coefficient divisible
+# by lc(g).  A constant divisor cancels every coefficient (r = 0) and a
+# dividend shorter than the divisor takes no step (q = 0, r = f, s = 1).
+#
+# ``_quotient`` is exact division, and needs neither scaling nor a gcd per
+# step.  It divides the integer digits f by the primitive part g of the
+# divisor.  By Gauss's lemma, when g divides f over Q the quotient has
+# integer digits, so every top digit met is a multiple of lc(g); one that is
+# not, or a nonzero remainder below the last one, means g does not divide f.
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +267,34 @@ def _pdivmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], 
     while r and r[-1] == 0:
         r.pop()
     return q, r, s
+
+
+def _quotient(f: list[int], den: int, divisor: Poly) -> "Poly | None":
+    """(f / den) / divisor for integer digits f, or None when divisor does
+    not divide it; f is consumed as the running remainder."""
+    g = divisor._nums
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    c = _content(g)
+    if c > 1:
+        g = [v // c for v in g]
+    dg = len(g) - 1
+    lg, low = g[-1], g[:-1]
+    q = [0] * (len(f) - dg)
+    for off in range(len(q) - 1, -1, -1):
+        qk, rem = divmod(f[off + dg], lg)
+        if rem:
+            return None
+        if qk:
+            q[off] = qk
+            for i, gi in enumerate(low, off):
+                if gi:
+                    f[i] -= qk * gi
+    if any(f[:dg]):
+        return None
+    if divisor._den > 1:
+        q = [v * divisor._den for v in q]
+    return Poly._raw(q, den * c)
 
 
 def _horner(nums: Sequence[int], xn: int, xd: int) -> tuple[int, int]:
@@ -457,12 +514,7 @@ class Poly:
         return q
 
     def exact_div_or_none(self, other: "Poly") -> "Poly | None":
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _pdivmod(self._nums, other._nums)
-        if r:
-            return None
-        return Poly._raw([v * other._den for v in q], s * self._den)
+        return _quotient(list(self._nums), self._den, other)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -552,6 +604,22 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
     products' denominators; large sums take one Kronecker product per term
     in a shared slot width and one unpack (see the Kronecker comment above).
     """
+    nums, den = _dot_nums(terms)
+    return Poly._raw(nums, den) if nums else _ZERO
+
+
+def _dot_div(terms: Iterable[tuple[Poly, Poly]], divisor: Poly) -> Poly:
+    """``poly_dot(terms).exact_div(divisor)`` with the sum left unnormalized:
+    its digits go straight into the exact quotient loop of ``_quotient``."""
+    q = _quotient(*_dot_nums(terms), divisor)
+    if q is None:
+        raise InexactDivisionError("polynomial division left a remainder")
+    return q
+
+
+def _dot_nums(terms: Iterable[tuple[Poly, Poly]]) -> tuple[list[int], int]:
+    """(digits, den): the sum of ``a * b`` over ``terms`` is the polynomial
+    with integer digits ``digits`` over ``den``, not normalized."""
     pairs = []  # each product with two nonzero factors: (shorter, longer, den)
     den = 1
     n_out = work = 0
@@ -565,8 +633,6 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
             den = math.lcm(den, d)
             n_out = max(n_out, len(an) + len(bn) - 1)
             work += len(an) * len(bn)
-    if not pairs:
-        return _ZERO
     if work <= _SCHOOLBOOK_CUTOFF:
         out = [0] * n_out
         for an, bn, d in pairs:
@@ -577,16 +643,17 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
                     for k, bj in enumerate(bn, i):
                         if bj:
                             out[k] += fa * bj
-        return Poly._raw(out, den)
+        return out, den
     bound = sum(
         (den // d) * max(map(abs, an)) * max(map(abs, bn)) * len(an)
         for an, bn, d in pairs
     )
     slot_bytes = _slot_bytes(bound)
     total = sum(
-        (den // d) * _pack(an, slot_bytes) * _pack(bn, slot_bytes) for an, bn, d in pairs
+        (den // d) * _pack_in_slot(an, slot_bytes) * _pack_in_slot(bn, slot_bytes)
+        for an, bn, d in pairs
     )
-    return Poly._raw(_unpack(total, n_out, slot_bytes), den)
+    return _unpack(total, n_out, slot_bytes), den
 
 
 # (k, w) pairs: the integer weight w of the fixed operand F_k
@@ -648,11 +715,11 @@ class FixedOperands:
         slot_bytes = _slot_bytes(max(bound, widest))
         packs = self._packs.get(slot_bytes)
         if packs is None:
-            packs = self._packs[slot_bytes] = [_pack(n, slot_bytes) for n in nums]
+            packs = self._packs[slot_bytes] = [_pack_in_slot(n, slot_bytes) for n in nums]
         total = 0
         for s, row, v in products:
             u = sum(w * packs[k] for k, w in row)
-            total += s * u * _pack(v, slot_bytes)
+            total += s * u * _pack_in_slot(v, slot_bytes)
         return not total
 
 

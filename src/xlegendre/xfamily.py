@@ -113,6 +113,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import _p_digits, legendre_poly, overlap_R
@@ -120,6 +121,7 @@ from .polyring import (
     InexactDivisionError,
     Poly,
     RatLike,
+    _dot_div,
     _rat,
     kronecker_slots,
     poly_dot,
@@ -228,7 +230,8 @@ class PolyMatrix:
     Both come from one fraction-free Gauss-Jordan elimination on ``[M | I]``
     (Bareiss 1968), run on the first call of either method.  Step k clears
     column k off the diagonal by ``row_i <- (pivot * row_i - row_i[k] *
-    row_k) / previous pivot``, every division exact by Sylvester's identity,
+    row_k) / previous pivot``, one ``_dot_div`` per entry past step 0, every
+    division exact by Sylvester's identity,
     and leaves ``[det(M) * I | adj(M)]`` at the end.  Rows are swapped only
     at a zero pivot.  A deformation matrix (``build_matrix``) never needs a
     swap, for any key: every ``R(m_k, m_l)`` vanishes at z = -1, so
@@ -299,8 +302,8 @@ def _gauss_jordan(rows: tuple[tuple[Poly, ...], ...]) -> tuple[Poly, PolyMatrix 
                 continue
             neg_head = -row[k]
             for j in (*range(k + 1, n), *range(n, n + k)):
-                num = poly_dot(((pivot, row[j]), (neg_head, row_k[j])))
-                row[j] = num.exact_div(prev) if k else num
+                terms = ((pivot, row[j]), (neg_head, row_k[j]))
+                row[j] = _dot_div(terms, prev) if k else poly_dot(terms)
             row[n + k] = neg_head
         row_k[n + k] = prev
         prev = pivot
@@ -485,11 +488,12 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # the first j+1 levels (an adjugate component), and N_next is the numerator
 # of XFamily.overlap's closed form for those levels; both are polynomials,
 # however often the roots of tau repeat (the level {1: -3} alone gives
-# tau = -z^3).  Were this wrong, exact_div would raise
+# tau = -z^3).  Were this wrong, the kernel _dot_div would raise
 # InexactDivisionError; it cannot return a wrong value.  Every overlap
 # vanishes at z = -1, so every step keeps tau_j(-1) = 1: no parameter makes
-# a divisor identically zero.  Each numerator is one two-term poly_dot, -t
-# folded into its second operand once per step (-t*P_m) or per level i2.
+# a divisor identically zero.  Each step is one two-term sum and exact
+# division, _dot_div, with -t folded into its second operand once per step
+# (-t*P_m) or per level i2; the first step, over tau_0 = 1, is the sum alone.
 #
 # Only the overlap columns against the not-yet-applied levels are carried,
 # which is all the polynomial steps read; XFamily.overlap has every pair in
@@ -515,8 +519,10 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
     for j, (level, t) in enumerate(zip(key.m, key.t)):
         tau_next = tau_prev + cols[(level, level)].scale(t)
         neg_tp = polys[level].scale(-t)
+        # tau_0 = 1 divides nothing
+        step = partial(_dot_div, divisor=tau_prev) if j else poly_dot
         polys = {
-            i: poly_dot(((tau_next, p), (cols[_pkey(i, level)], neg_tp)))
+            i: step(((tau_next, p), (cols[_pkey(i, level)], neg_tp)))
             for i, p in polys.items()
         }
         nxt: dict[_PAIR, Poly] = {}
@@ -525,11 +531,9 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
             for x in indices:
                 pair = _pkey(x, mk)
                 if pair not in nxt:
-                    terms = ((cols[pair], tau_next), (cols[_pkey(x, level)], neg_tn))
-                    nxt[pair] = poly_dot(terms)
-        if j:  # tau_0 = 1 divides nothing
-            polys = {i: p.exact_div(tau_prev) for i, p in polys.items()}
-            nxt = {pair: num.exact_div(tau_prev) for pair, num in nxt.items()}
+                    nxt[pair] = step(
+                        ((cols[pair], tau_next), (cols[_pkey(x, level)], neg_tn))
+                    )
         cols = nxt
         tau_prev = tau_next
     return tau_prev, polys

@@ -18,9 +18,12 @@ from xlegendre import (
 from xlegendre import polyring
 from xlegendre.polyring import (
     _SCHOOLBOOK_CUTOFF,
+    _SHIFT_PACK_COST,
     FixedOperands,
-    _pack,
     _dot_at,
+    _dot_div,
+    _pack,
+    _pack_in_slot,
     _unpack,
 )
 
@@ -426,8 +429,10 @@ def test_fixed_operands_pack_once_per_slot_width(monkeypatch):
     operands = FixedOperands((Poly([1, 0, -1]), Poly([0, -2]), Poly.zero(), Poly.one()))
     rows = (((2, 1), (3, 6)), ((1, 1),), ((0, 1),))
     packed = []
-    real = polyring._pack
-    monkeypatch.setattr(polyring, "_pack", lambda nums, sb: packed.append(sb) or real(nums, sb))
+    real = polyring._pack_in_slot
+    monkeypatch.setattr(
+        polyring, "_pack_in_slot", lambda nums, sb: packed.append(sb) or real(nums, sb)
+    )
     assert operands.is_zero([(Poly([-1, 0, 3]), rows)])  # 2 * P_2
     assert len(packed) == 4 + 3  # the four operands, then P, P', P''
     assert not operands.is_zero([(Poly([1, 0, 3]), rows)])
@@ -443,6 +448,19 @@ def test_pack_round_trips_the_widest_digits(slot_bytes):
     for x in ([half], [0, -half - 1]):
         with pytest.raises(OverflowError):
             _pack(x, slot_bytes)
+
+
+@pytest.mark.parametrize("slot_bytes", [1, 2, 8, 33])
+def test_shift_pack_matches_the_byte_join(slot_bytes):
+    # in-slot digits, extremes included, at lengths on both sides of the
+    # switch from the shift loop to the byte join
+    w = 8 * slot_bytes
+    half = 1 << (w - 1)
+    switch = math.isqrt(_SHIFT_PACK_COST // slot_bytes)  # the longest shifted
+    for n in (0, 1, 2, switch - 1, switch, switch + 1, 2 * switch + 3):
+        x = [-half, half - 1][:n] + [(k * 2654435761) % (2 * half) - half for k in range(2, n)]
+        packed = _pack_in_slot(x, slot_bytes)
+        assert packed == _pack(x, slot_bytes) == sum(v << (w * k) for k, v in enumerate(x))
 
 
 # -- division and gcd ---------------------------------------------------------
@@ -485,6 +503,48 @@ def test_exact_div_rejects_remainder():
     with pytest.raises(InexactDivisionError):
         Poly([1, 0, 1]).exact_div(Poly([1, 1]))
     assert Poly([1, 0, 1]).exact_div_or_none(Poly([1, 1])) is None
+
+
+def test_exact_div_rejects_a_later_top_digit():
+    # (2z^2 + 2z) / (2z + 1): the first top digit 2 is a multiple of lc 2,
+    # the next one, 1, is not, and nothing is left below it;
+    # (2z^2 + z + 1) / (2z + 1) leaves only the remainder 1, below every top digit
+    divisor = Poly([1, 2])
+    for dividend in (Poly([0, 2, 2]), Poly([1, 1, 2])):
+        assert dividend.exact_div_or_none(divisor) is None
+        with pytest.raises(InexactDivisionError):
+            _dot_div([(dividend, Poly.one())], divisor)
+
+
+_divisor_scales = st.sampled_from(
+    [Fraction(1), Fraction(6), Fraction(-4), Fraction(1, 6), Fraction(-9, 4)]
+)
+
+
+@given(
+    st.lists(st.tuples(any_polys, any_polys), max_size=4),
+    st.tuples(polys.filter(bool), _divisor_scales).map(lambda ps: ps[0].scale(ps[1])),
+    st.booleans(),
+)
+@example([(Poly([1, 2]), Poly([3, 0, 1]))], Poly([6, 0, -4]), True)  # content 2, lc < 0
+@example([(Poly([1, 2]), Poly([3, 0, 1]))], Poly([6, 0, -4]), False)
+@example([(Poly([Fraction(1, 2), 3]), Poly([5]))], Poly([Fraction(-3, 7)]), False)  # constant
+@example([(Poly([1, 1]), Poly([0, 2]))], Poly([Fraction(1, 2), Fraction(3, 4)]), True)
+@example([], Poly([2, 4]), True)
+def test_dot_div_matches_dot_then_exact_div(terms, divisor, exact):
+    # rational terms, the sum a multiple of the divisor or not
+    if exact:
+        terms = [(a * divisor, b) for a, b in terms]
+    total = poly_dot(terms)
+    q, r = fraction_divmod(total, divisor)
+    if r.is_zero:
+        got = _dot_div(terms, divisor)
+        _same(got, total.exact_div(divisor))
+        _same(got, q)
+    else:
+        assert total.exact_div_or_none(divisor) is None
+        with pytest.raises(InexactDivisionError):
+            _dot_div(terms, divisor)
 
 
 @given(polys, polys, polys)

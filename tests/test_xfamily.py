@@ -425,16 +425,19 @@ def test_chain_divides_by_no_constant_one(monkeypatch):
     key = FamilyKey((1, 2, 4), (F(1), F(-1, 4), F(7, 2)))
     fam = family(key)
     want = (fam.tau, [fam.polynomial(i) for i in range(13)])
-    original = Poly.exact_div
+    original = xfamily._dot_div
+    divisors = []
 
-    def refuse_one(self, other):
-        if other == Poly.one():
+    def refuse_one(terms, divisor):
+        if divisor == Poly.one():
             raise AssertionError("exact division by 1")
-        return original(self, other)
+        divisors.append(divisor)
+        return original(terms, divisor)
 
-    monkeypatch.setattr(Poly, "exact_div", refuse_one)
+    monkeypatch.setattr(xfamily, "_dot_div", refuse_one)
     rec = recursive_family(key, 12)
     assert (rec.tau, [rec.xpolys[i] for i in range(13)]) == want
+    assert divisors  # steps 1 and 2 divide, through the fused kernel
 
 
 def test_recursive_overlap_base_example():
