@@ -26,8 +26,9 @@ sum and difference: ``a + b`` and ``a - b`` are the two-term sums of
 the first elimination and chain step and a built overlap numerator
 (``xfamily``), and the operator numerator and factorization triples
 (``operators``) are one such sum each.  Every later fraction-free step,
-``(a*b + c*d) / e``, is one ``_dot_div``: the same sum, left unnormalized,
-goes straight into the exact quotient.  Beside them, ``_dot_at``
+``(a*b + c*d) / e``, is one ``_dot_div`` in the elimination and one
+``FixedOperands.dot`` in the chain: the same sum, left unnormalized, goes
+straight into the exact quotient.  Beside them, ``_dot_at``
 reads the value at a point of a sum whose terms are products of any number
 of factors, with no product built: one integer Horner pass per factor (the
 loop ``Poly.evaluate`` runs too), up to the first factor of a term that
@@ -37,10 +38,13 @@ denominator), so that factor's pass is not run twice, and makes the pair one
 ``Fraction``.  An overlap evaluated at z = 1 or z = -1 reads its numerator
 this way and never builds it: there nearly every term ends at its first
 factor, a classical overlap.
-``FixedOperands`` holds polynomials that many zero tests share (an
-operator's coefficients) over one denominator, and keeps their Kronecker
-packs by slot width.  ``is_zero(terms)`` asks whether a sum of weighted
-fixed operands times varying polynomials and their derivatives is zero: it
+``FixedOperands`` holds polynomials that many sums share (an operator's
+coefficients, or the operands of one chain step and its divisor) over one
+denominator, and keeps their Kronecker packs by slot width.  ``dot(terms)``
+is the exact quotient of a sum of fixed times varying polynomials by the
+divisor, and packs only the varying digits.  ``is_zero(terms)`` asks
+whether a sum of weighted fixed operands times varying polynomials and their
+derivatives is zero: it
 packs only the varying digits and stops at the packed integer, the sum's
 value at z = 2^w, which is zero exactly when every coefficient is
 (Kronecker comment below).  The eigen and intertwining residuals
@@ -49,8 +53,11 @@ out the pack and unpack of one slot width to a caller that does its own
 arithmetic on packed integers (the family polynomials above index 12).
 
 Exact division (``exact_div``, ``exact_div_or_none``, ``_dot_div``) is one
-loop of exact integer quotients, ``_quotient``.  The integer pseudo-division
-``_pdivmod`` is behind ``divmod`` and the remainder sequence.
+loop of exact integer quotients, ``_quotient``.  ``FixedOperands.dot``
+divides at a narrow slot by one big-integer division of the packed sum by
+the packed divisor, and keeps that quotient only when its digits prove it;
+otherwise, and at every wider slot, it runs the same loop.  The integer
+pseudo-division ``_pdivmod`` is behind ``divmod`` and the remainder sequence.
 ``remainder_sequence(a, b)`` is the one integer primitive remainder
 sequence: ``poly_gcd`` reads its last element and the Sturm chain
 (``admissibility``) is the whole sequence of p and p'.
@@ -141,7 +148,10 @@ def _content(nums: Iterable[int], g: int = 0) -> int:
 # checks no digit (a check per digit costs most of its gain), and needs
 # none: each kernel's slot bound covers every digit it packs, in
 # ``poly_dot`` because the bound is at least every operand digit, in
-# ``FixedOperands`` because the slots are sized by ``widest``.
+# ``FixedOperands`` because the slots are sized by ``widest``.  ``_unpack``
+# reads a short value back by the same rule, one mask and shift per digit,
+# and a long one by splitting its bytes; either raises OverflowError when the
+# value is not that many digits in [-half, half).
 #
 # Packing is linear, so a sum of products sum_k f_k * a_k * b_k is also one
 # packed integer, sum_k f_k * pack(a_k) * pack(b_k), as long as the slots hold
@@ -162,6 +172,7 @@ def _content(nums: Iterable[int], g: int = 0) -> int:
 
 _SCHOOLBOOK_CUTOFF = 300  # product of operand lengths below which looping wins
 _SHIFT_PACK_COST = 1 << 14  # digits^2 * slot bytes up to which shifting wins
+_PACKED_QUOTIENT_SLOT = 16  # slot bytes up to which one packed division wins
 
 
 def _slot_bytes(bound: int) -> int:
@@ -183,15 +194,26 @@ def _pack(nums: Sequence[int], slot_bytes: int) -> int:
 
 
 def _unpack(packed: int, n_out: int, slot_bytes: int) -> list[int]:
-    """The ``n_out`` signed slot digits of ``packed``."""
-    half = 1 << (slot_bytes * 8 - 1)
+    """The ``n_out`` signed slot digits of ``packed``, a short value by the
+    shift loop, a long one by the byte split; OverflowError when ``packed``
+    is the value of no n_out digits in [-half, half)."""
+    w = 8 * slot_bytes
+    half = 1 << (w - 1)
     biased = packed + _bias(n_out, slot_bytes)
-    raw = biased.to_bytes(n_out * slot_bytes + slot_bytes, "little")
-    # biased digits never overflow a slot, so chunks decode independently
-    return [
-        int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
-        for k in range(n_out)
-    ]
+    if n_out * n_out * slot_bytes > _SHIFT_PACK_COST:
+        raw = biased.to_bytes(n_out * slot_bytes, "little")
+        # biased digits never overflow a slot, so chunks decode independently
+        return [
+            int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little") - half
+            for k in range(n_out)
+        ]
+    mask, out = (1 << w) - 1, []
+    for _ in range(n_out):
+        out.append((biased & mask) - half)
+        biased >>= w
+    if biased:
+        raise OverflowError("packed value outside its slots")
+    return out
 
 
 def _pack_in_slot(nums: Sequence[int], slot_bytes: int) -> int:
@@ -230,6 +252,36 @@ def kronecker_slots(bound: int):
 # divisor.  By Gauss's lemma, when g divides f over Q the quotient has
 # integer digits, so every top digit met is a multiple of lc(g); one that is
 # not, or a nonzero remainder below the last one, means g does not divide f.
+#
+# ``FixedOperands.dot`` first divides in packed form.  The sum f, of n
+# digits, packs to T = f(2^w) in slots that hold its largest digit and every
+# digit of g, so |f_k| < 2^(w-2).  With G = g(2^w) it takes Q, R =
+# divmod(T, G) and keeps q, the lq = n - len(g) + 1 digits of Q, only when
+#
+#   1. R = 0, so T = Q * G;
+#   2. 0 <= Q + bias(lq) < 2^(w*lq), so q = unpack(Q, lq) is exact;
+#   3. max|q| * max|g| * min(lq, len g) < 2^(w-1).
+#
+# Then every digit of the polynomial q * g is below 2^(w-1) in absolute
+# value, and q * g and f have the same value at 2^w.  Two digit lists whose
+# differences are below 2^w in absolute value and that agree at 2^w are
+# equal (the lowest differing digit would be a nonzero multiple of 2^w), so
+# q * g = f.  Otherwise the loop divides the unpacked digits of T; the sum is
+# not computed again.  A packed value a divisor divides need not be a
+# polynomial multiple: f = 60 - 60z + 60z^2 - 60z^3 + 17z^4 at w = 8 is a
+# multiple of g(2^8) = 257, g = z + 1, since f(-1) = 257; its packed quotient
+# has the in-slot digits 60, -120, -76, 17 and fails check 3.
+#
+# The packed division runs only at slots of at most _PACKED_QUOTIENT_SLOT
+# bytes.  CPython's long division is quadratic, so it loses at wide slots
+# to the loop, whose cost is len(q) * len(g) small-integer steps.  Packed
+# over loop time, on random exact quotients:
+#
+#   slot bytes     3-16         31           63-251
+#   ratio          0.09-0.72    0.86-1.21    1.4-6.2
+#
+# Every slot of the lattice chain is 4-15 bytes; the eleven-level key with
+# 20-digit parameters, whose slots are wider, runs the loop throughout.
 # ---------------------------------------------------------------------------
 
 
@@ -295,6 +347,25 @@ def _quotient(f: list[int], den: int, divisor: Poly) -> "Poly | None":
     if divisor._den > 1:
         q = [v * divisor._den for v in q]
     return Poly._raw(q, den * c)
+
+
+def _packed_quotient(
+    total: int, n_out: int, g: Sequence[int], g_pack: int, g_top: int, slot_bytes: int
+) -> list[int] | None:
+    """The digits q of total / g_pack, n_out - len(g) + 1 of them, when the
+    three checks prove q * g to be the polynomial of n_out in-slot digits
+    that ``total`` packs; None otherwise.  g_top is max|g|."""
+    lq = n_out - len(g) + 1
+    q, r = divmod(total, g_pack)
+    if r or lq < 1:
+        return None
+    try:
+        q = _unpack(q, lq, slot_bytes)
+    except OverflowError:
+        return None
+    if max(map(abs, q)) * g_top * min(lq, len(g)) >> (8 * slot_bytes - 1):
+        return None
+    return q
 
 
 def _horner(nums: Sequence[int], xn: int, xd: int) -> tuple[int, int]:
@@ -611,7 +682,12 @@ def poly_dot(terms: Iterable[tuple[Poly, Poly]]) -> Poly:
 def _dot_div(terms: Iterable[tuple[Poly, Poly]], divisor: Poly) -> Poly:
     """``poly_dot(terms).exact_div(divisor)`` with the sum left unnormalized:
     its digits go straight into the exact quotient loop of ``_quotient``."""
-    q = _quotient(*_dot_nums(terms), divisor)
+    return _exact_quotient(*_dot_nums(terms), divisor)
+
+
+def _exact_quotient(f: list[int], den: int, divisor: Poly) -> Poly:
+    """``_quotient``, raising InexactDivisionError where it returns None."""
+    q = _quotient(f, den, divisor)
     if q is None:
         raise InexactDivisionError("polynomial division left a remainder")
     return q
@@ -662,23 +738,74 @@ _Row = Sequence[tuple[int, int]]
 
 class FixedOperands:
     """Polynomials F_0, F_1, ... over one denominator, packed once per slot
-    width, for zero tests of the sums they make with varying polynomials.
+    width, for the sums they make with varying polynomials: zero tests, and
+    exact quotients by one ``divisor``.
 
     ``polys`` are the operands as given.  ``is_zero(terms)`` tests one sum
-    (Kronecker comment above); the packs of the F_k are kept by slot width,
-    so a caller that holds this object across many tests packs them once
-    per width, and each test packs only its varying digits.
+    (Kronecker comment above), and ``dot(terms)`` divides one (integer
+    division comment above).  The packs of the F_k, and of the divisor's
+    primitive part, are kept by slot width, so a caller that holds this
+    object across many sums packs them once per width, and each sum packs
+    only its varying digits.
     """
 
-    __slots__ = ("polys", "_nums", "_bounds", "_bound", "_packs")
+    __slots__ = ("polys", "divisor", "_den", "_nums", "_bounds", "_bound", "_packs")
 
-    def __init__(self, polys: Iterable[Poly]):
+    def __init__(self, polys: Iterable[Poly], divisor: Poly | None = None):
         self.polys = tuple(polys)
-        den = math.lcm(*(p._den for p in self.polys))
+        self.divisor = divisor
+        den = self._den = math.lcm(*(p._den for p in self.polys))
         self._nums = [[v * (den // p._den) for v in p._nums] for p in self.polys]
+        if divisor is not None:  # its primitive part is packed last
+            if not divisor._nums:
+                raise ZeroDivisionError("polynomial division by zero")
+            c = _content(divisor._nums)
+            self._nums.append([v // c for v in divisor._nums])
         self._bounds = [max(map(abs, n), default=0) for n in self._nums]
         self._bound = max(self._bounds, default=0)
         self._packs: dict[int, list[int]] = {}
+
+    def dot(self, terms: Sequence[tuple[int, Poly]]) -> Poly:
+        """The sum of F_k * v over (k, v) in ``terms``, divided exactly by
+        ``divisor`` (``InexactDivisionError`` when it does not divide).
+
+        At a slot of at most _PACKED_QUOTIENT_SLOT bytes the sum is one packed
+        integer and its quotient one big-integer division, kept when the
+        proof holds (integer division comment); otherwise, and at wider
+        slots, the sum's digits go to the loop ``_quotient``.  With no
+        divisor it is ``poly_dot`` of the products, packing nothing.
+        """
+        polys, divisor = self.polys, self.divisor
+        if divisor is None:
+            return poly_dot((polys[k], v) for k, v in terms)
+        nums, bounds = self._nums, self._bounds
+        den = math.lcm(*(v._den for _, v in terms))
+        products = []  # (den // v's denominator, k, v's digits)
+        bound = n_out = 0  # the sum's largest digit and its length
+        widest = self._bound  # the largest digit packed
+        for k, v in terms:
+            vn = v._nums
+            if vn and bounds[k]:
+                s = den // v._den
+                mv = max(map(abs, vn))
+                widest = max(widest, mv)
+                bound += s * bounds[k] * mv * min(len(nums[k]), len(vn))
+                n_out = max(n_out, len(nums[k]) + len(vn) - 1)
+                products.append((s, k, vn))
+        slot_bytes = _slot_bytes(max(bound, widest))
+        if slot_bytes > _PACKED_QUOTIENT_SLOT:
+            return _dot_div([(polys[k], v) for k, v in terms], divisor)
+        packs = self._packs.get(slot_bytes)
+        if packs is None:
+            packs = self._packs[slot_bytes] = [_pack_in_slot(n, slot_bytes) for n in nums]
+        total = sum(s * packs[k] * _pack_in_slot(vn, slot_bytes) for s, k, vn in products)
+        den *= self._den
+        g = nums[-1]
+        q = _packed_quotient(total, n_out, g, packs[-1], bounds[-1], slot_bytes)
+        if q is None:
+            return _exact_quotient(_unpack(total, n_out, slot_bytes), den, divisor)
+        c = divisor._nums[-1] // g[-1]  # divisor = c * g, c its content
+        return Poly._raw([v * divisor._den for v in q], den * c)
 
     def is_zero(self, terms: Iterable[tuple[Poly, Sequence[_Row]]]) -> bool:
         """Whether the sum over ``(f, rows)`` in ``terms`` and over r of

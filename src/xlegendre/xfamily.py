@@ -113,11 +113,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .legendre import _p_digits, legendre_poly, overlap_R
 from .polyring import (
+    FixedOperands,
     InexactDivisionError,
     Poly,
     RatLike,
@@ -488,12 +488,18 @@ def missing_degrees(key: FamilyKey) -> list[int]:
 # the first j+1 levels (an adjugate component), and N_next is the numerator
 # of XFamily.overlap's closed form for those levels; both are polynomials,
 # however often the roots of tau repeat (the level {1: -3} alone gives
-# tau = -z^3).  Were this wrong, the kernel _dot_div would raise
-# InexactDivisionError; it cannot return a wrong value.  Every overlap
-# vanishes at z = -1, so every step keeps tau_j(-1) = 1: no parameter makes
-# a divisor identically zero.  Each step is one two-term sum and exact
-# division, _dot_div, with -t folded into its second operand once per step
-# (-t*P_m) or per level i2; the first step, over tau_0 = 1, is the sum alone.
+# tau = -z^3).  Were this wrong, FixedOperands.dot would raise
+# InexactDivisionError; it cannot return a wrong value, since it keeps a
+# packed quotient only when its digits prove it.  Every overlap vanishes at
+# z = -1, so every step keeps tau_j(-1) = 1: no parameter makes a divisor
+# identically zero.  A step's shared operands are tau_next, -t*P_m and
+# -t*N[i2, m] for each later level i2, with tau as the divisor: one
+# FixedOperands, packed once per slot width, and each entry one two-term
+# FixedOperands.dot that packs only its two varying operands.  The first
+# step, over tau_0 = 1, is the sum alone (poly_dot): its sums are
+# schoolbook-sized, where shared packs lose.  The elimination keeps
+# _dot_div: at one to three levels a step has one to four entries, too few
+# to repay a FixedOperands.
 #
 # Only the overlap columns against the not-yet-applied levels are carried,
 # which is all the polynomial steps read; XFamily.overlap has every pair in
@@ -518,22 +524,18 @@ def _chain(key: FamilyKey, indices: Sequence[int]) -> tuple[Poly, dict[int, Poly
     cols = {_pkey(x, m): overlap_R(x, m) for m in key.m for x in indices}
     for j, (level, t) in enumerate(zip(key.m, key.t)):
         tau_next = tau_prev + cols[(level, level)].scale(t)
-        neg_tp = polys[level].scale(-t)
+        later = key.m[j + 1 :]
+        # fixed: tau_next, -t*P_m, then -t*N[i2, m] for each later level i2;
         # tau_0 = 1 divides nothing
-        step = partial(_dot_div, divisor=tau_prev) if j else poly_dot
-        polys = {
-            i: step(((tau_next, p), (cols[_pkey(i, level)], neg_tp)))
-            for i, p in polys.items()
-        }
+        neg_t = (x.scale(-t) for x in (polys[level], *(cols[_pkey(mk, level)] for mk in later)))
+        ops = FixedOperands((tau_next, *neg_t), tau_prev if j else None)
+        polys = {i: ops.dot(((0, p), (1, cols[_pkey(i, level)]))) for i, p in polys.items()}
         nxt: dict[_PAIR, Poly] = {}
-        for mk in key.m[j + 1 :]:
-            neg_tn = cols[_pkey(mk, level)].scale(-t)
+        for c, mk in enumerate(later, 2):
             for x in indices:
                 pair = _pkey(x, mk)
                 if pair not in nxt:
-                    nxt[pair] = step(
-                        ((cols[pair], tau_next), (cols[_pkey(x, level)], neg_tn))
-                    )
+                    nxt[pair] = ops.dot(((0, cols[pair]), (c, cols[_pkey(x, level)])))
         cols = nxt
         tau_prev = tau_next
     return tau_prev, polys

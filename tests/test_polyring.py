@@ -505,6 +505,15 @@ def test_exact_div_rejects_remainder():
     assert Poly([1, 0, 1]).exact_div_or_none(Poly([1, 1])) is None
 
 
+def _fixed_dot_div(terms, divisor):
+    """``_dot_div`` through ``FixedOperands.dot``, the first factor of each
+    term fixed."""
+    terms = list(terms)
+    return FixedOperands((a for a, _ in terms), divisor).dot(
+        [(k, b) for k, (_, b) in enumerate(terms)]
+    )
+
+
 def test_exact_div_rejects_a_later_top_digit():
     # (2z^2 + 2z) / (2z + 1): the first top digit 2 is a multiple of lc 2,
     # the next one, 1, is not, and nothing is left below it;
@@ -512,8 +521,9 @@ def test_exact_div_rejects_a_later_top_digit():
     divisor = Poly([1, 2])
     for dividend in (Poly([0, 2, 2]), Poly([1, 1, 2])):
         assert dividend.exact_div_or_none(divisor) is None
-        with pytest.raises(InexactDivisionError):
-            _dot_div([(dividend, Poly.one())], divisor)
+        for kernel in (_dot_div, _fixed_dot_div):
+            with pytest.raises(InexactDivisionError):
+                kernel([(dividend, Poly.one())], divisor)
 
 
 _divisor_scales = st.sampled_from(
@@ -531,20 +541,50 @@ _divisor_scales = st.sampled_from(
 @example([(Poly([Fraction(1, 2), 3]), Poly([5]))], Poly([Fraction(-3, 7)]), False)  # constant
 @example([(Poly([1, 1]), Poly([0, 2]))], Poly([Fraction(1, 2), Fraction(3, 4)]), True)
 @example([], Poly([2, 4]), True)
+# digits of about 8 and about 400 bits: slots on both sides of _PACKED_QUOTIENT_SLOT
+@example([(Poly([97, -113, 0, 89]), Poly([71, 5, -127]))], Poly([3, -101, 7]), True)
+@example([(Poly([97, -113, 0, 89]), Poly([71, 5, -127]))], Poly([3, -101, 7]), False)
+@example([(Poly([3**250, -(5**170), 7]), Poly([2**399, 1]))], Poly([11**115, 1, -1]), True)
+@example([(Poly([3**250, -(5**170), 7]), Poly([2**399, 1]))], Poly([11**115, 1, -1]), False)
 def test_dot_div_matches_dot_then_exact_div(terms, divisor, exact):
     # rational terms, the sum a multiple of the divisor or not
     if exact:
         terms = [(a * divisor, b) for a, b in terms]
     total = poly_dot(terms)
     q, r = fraction_divmod(total, divisor)
-    if r.is_zero:
-        got = _dot_div(terms, divisor)
-        _same(got, total.exact_div(divisor))
-        _same(got, q)
-    else:
-        assert total.exact_div_or_none(divisor) is None
-        with pytest.raises(InexactDivisionError):
-            _dot_div(terms, divisor)
+    for kernel in (_dot_div, _fixed_dot_div):
+        if r.is_zero:
+            got = kernel(terms, divisor)
+            _same(got, total.exact_div(divisor))
+            _same(got, q)
+        else:
+            assert total.exact_div_or_none(divisor) is None
+            with pytest.raises(InexactDivisionError):
+                kernel(terms, divisor)
+
+
+def test_packed_quotient_needs_the_digit_bound():
+    # z + 1 packs to 257 in a 1-byte slot and divides the packed sum, since
+    # the sum's alternating digit sum is 257, but not the sum: the packed
+    # quotient unpacks to the in-slot digits 60, -120, -76, 17, whose product
+    # with z + 1 has the digit -196, outside the slot
+    terms = [(Poly([60, -60, 60, -60, 17]), Poly.one())]
+    assert poly_dot(terms).exact_div_or_none(Poly([1, 1])) is None
+    with pytest.raises(InexactDivisionError):
+        _fixed_dot_div(terms, Poly([1, 1]))
+
+
+def test_quotient_filling_the_slot_takes_the_loop(monkeypatch):
+    # a tent 20, 40, ..., 20 times z - 1 has digits +-20 and a 1-byte slot;
+    # the quotient's digits fill it (peak 120) or overflow it (peak 200):
+    # no proof, so the loop
+    tents = [Poly([20 * min(k, top - k) for k in range(1, top)]) for top in (12, 20)]
+    loops = []
+    real = polyring._quotient
+    monkeypatch.setattr(polyring, "_quotient", lambda *a: loops.append(1) or real(*a))
+    for q, g in [(t, Poly([-1, 1])) for t in tents] + [(Poly([3, -1, 2]), Poly([5, 2]))]:
+        assert _fixed_dot_div([(q * g, Poly.one())], g) == q
+    assert loops == [1, 1]  # the last quotient's proof holds
 
 
 @given(polys, polys, polys)

@@ -425,19 +425,20 @@ def test_chain_divides_by_no_constant_one(monkeypatch):
     key = FamilyKey((1, 2, 4), (F(1), F(-1, 4), F(7, 2)))
     fam = family(key)
     want = (fam.tau, [fam.polynomial(i) for i in range(13)])
-    original = xfamily._dot_div
+    original = xfamily.FixedOperands
     divisors = []
 
-    def refuse_one(terms, divisor):
+    def refuse_one(polys, divisor=None):
         if divisor == Poly.one():
             raise AssertionError("exact division by 1")
-        divisors.append(divisor)
-        return original(terms, divisor)
+        if divisor is not None:
+            divisors.append(divisor)
+        return original(polys, divisor)
 
-    monkeypatch.setattr(xfamily, "_dot_div", refuse_one)
+    monkeypatch.setattr(xfamily, "FixedOperands", refuse_one)
     rec = recursive_family(key, 12)
     assert (rec.tau, [rec.xpolys[i] for i in range(13)]) == want
-    assert divisors  # steps 1 and 2 divide, through the fused kernel
+    assert len(divisors) == 2  # steps 1 and 2 divide, through the shared operands
 
 
 def test_recursive_overlap_base_example():
